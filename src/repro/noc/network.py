@@ -30,7 +30,7 @@ from repro.noc.input_unit import InputUnit
 from repro.noc.interface import NetworkInterface
 from repro.noc.link import Channel
 from repro.noc.output_unit import UpstreamPort
-from repro.noc.policy_api import RecoveryPolicy
+from repro.noc.policy_api import RecoveryPolicy, pins_epoch_boundaries
 from repro.noc.router import InputWiring, OutputWiring, Router
 from repro.noc.routing import build_routing
 from repro.noc.topology import LOCAL, Topology, build_topology, port_name
@@ -137,9 +137,10 @@ class Network:
         #: reset_stats re-bases it so mid-run counter resets (warm-up
         #: discard) don't fake conservation violations.
         self.conservation_baseline = 0
-        #: Master switch for quiescence fast-forward in :meth:`run`.
-        #: Telemetry instrumentation and fault injection clear it so
-        #: traced/faulted runs take the dense per-cycle stepping loop.
+        #: Master switch for the fast engines (SoA and quiescence
+        #: fast-forward) in :meth:`run`.  Fault injection and the
+        #: per-cycle NBTI reference clear it so those runs take the
+        #: dense per-cycle stepping loop; telemetry leaves it set.
         self.allow_fast_forward = True
 
         self.routers: List[Router] = []
@@ -391,8 +392,15 @@ class Network:
         directly to that event.  Results are byte-identical to stepping:
         skipped cycles are provably no-ops, and the traffic RNG consumes
         exactly the draws the skipped cycles would have made.  Runs with
-        ``validate_every > 0``, telemetry instrumentation, faults, or an
-        unsupported traffic generator use the dense stepping loop.
+        ``validate_every > 0``, faults, or an unsupported traffic
+        generator use the dense stepping loop.
+
+        Telemetry does not change the engine: traced runs take SoA when
+        eligible, like untraced ones.  Traced policies get their epoch
+        boundaries pinned (:func:`pins_epoch_boundaries`), so the
+        result, the event counts and every track's event sequence equal
+        dense stepping's; only events of different tracks within one
+        cycle may interleave in another order.
 
         Device counters are flushed on return, so post-run duty-cycle
         reads need no extra synchronization.
@@ -425,7 +433,7 @@ class Network:
             elif force == "soa":
                 raise RuntimeError(
                     "force_engine='soa' but the network is not SoA-eligible "
-                    "(telemetry/faults/per-cycle NBTI or unstable policies)"
+                    "(faults/per-cycle NBTI or unstable policies)"
                 )
             elif force == "stepped":
                 while self.cycle < end:
@@ -486,7 +494,7 @@ class Network:
                 policy = engine.policy
                 if not policy.stable:
                     return False
-                if policy.cycle_free_decide:
+                if not pins_epoch_boundaries(policy):
                     continue
                 period = getattr(policy, "epoch_period", None)
                 if period is None and policy.epoch(0) != policy.epoch(1 << 30):
@@ -503,15 +511,16 @@ class Network:
 
         ``None`` means "step every cycle".  Eligibility requires:
 
-        * :attr:`allow_fast_forward` (cleared by telemetry/faults),
+        * :attr:`allow_fast_forward` (cleared by faults),
         * a traffic generator that implements ``next_injection_cycle``
           (``None`` from the probe means unsupported), and
         * every recovery policy *stable* with a declared
           ``epoch_period`` (pinned) or a constant epoch, and no engine
           currently degraded (watchdog accounting is per-cycle).
-          Policies declaring ``cycle_free_decide`` need no pin at all:
-          their healthy decision is a pure function of the context, so
-          skipped epoch boundaries provably change nothing.
+          Policies that :func:`pins_epoch_boundaries` exempts (untraced
+          ``cycle_free_decide``) need no pin at all: their healthy
+          decision is a pure function of the context, so skipped epoch
+          boundaries provably change nothing.
 
         The plan is the sorted set of distinct epoch periods plus every
         sensor bank (whose next sample cycle pins jumps); faulted banks
@@ -532,15 +541,15 @@ class Network:
                 policy = engine.policy
                 if not policy.stable:
                     return None
-                if policy.cycle_free_decide:
+                if not pins_epoch_boundaries(policy):
                     # The healthy-path decision never reads ctx.cycle, so
                     # re-evaluating after a jump with an unchanged context
                     # reproduces the applied decision verbatim (no
-                    # commands issued) — epoch boundaries need no pin.
-                    # Eligibility already guarantees the engine stays
-                    # healthy (fault-free banks heartbeat well inside the
-                    # watchdog thresholds), so the cycle-dependent
-                    # fallback can never engage mid-run.
+                    # commands issued, no probe event) — epoch boundaries
+                    # need no pin.  Eligibility already guarantees the
+                    # engine stays healthy (fault-free banks heartbeat
+                    # well inside the watchdog thresholds), so the
+                    # cycle-dependent fallback can never engage mid-run.
                     continue
                 period = getattr(policy, "epoch_period", None)
                 if period is not None:

@@ -176,7 +176,9 @@ class RecoveryPolicy:
     #: with a cycle-dependent *degraded* fallback may still declare it,
     #: because fast-forward eligibility requires fault-free sensors,
     #: whose heartbeats provably keep the watchdog below both the
-    #: staleness and plausibility thresholds.
+    #: staleness and plausibility thresholds.  A traced policy is still
+    #: pinned (see :func:`pins_epoch_boundaries`): each re-decision
+    #: emits a probe event even when the decision is unchanged.
     cycle_free_decide: bool = False
     #: Telemetry handle + track id (see repro.telemetry.runtime);
     #: class-level ``None``/0 keeps untraced runs zero-cost.
@@ -201,6 +203,23 @@ class RecoveryPolicy:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def pins_epoch_boundaries(policy: RecoveryPolicy) -> bool:
+    """Whether the fast engines must re-run ``policy`` at epoch boundaries.
+
+    The one pin rule shared by quiescence fast-forward
+    (:meth:`Network._fast_forward_plan`) and the SoA engine (its
+    eligibility check and its epoch schedule).  Dense
+    stepping re-runs a stable policy whenever its epoch changes; the
+    fast engines may skip those boundaries only when doing so is
+    unobservable, i.e. the healthy decision ignores the cycle
+    (``cycle_free_decide``) *and* no tracer records the re-decision.
+    Traced policies bypass the port's decision value cache, so every
+    boundary re-decide emits ``policy.keep_awake`` under stepping and
+    must therefore happen under the fast engines too.
+    """
+    return not policy.cycle_free_decide or policy.trace is not None
 
 
 def states_of(states: Sequence[str]) -> Tuple[OutVCState, ...]:

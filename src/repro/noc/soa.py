@@ -48,16 +48,24 @@ quiescence fast-forward to per-component quiescence.
 Correctness contract
 --------------------
 Eligibility is checked by :meth:`Network._soa_eligible` under the same
-rules fast-forward uses (no telemetry, no faults, stable policies with
-declared or constant epochs, healthy watchdogs); ineligible runs fall
-back to the dense loop.  For eligible runs every skipped component is a
-proven no-op of the corresponding dense phase, so results — duty
-cycles, statistics, arbiter states, RNG position — are byte-identical
-to stepping.  The per-object engines remain intact
+rules fast-forward uses (no faults, stable policies with declared or
+constant epochs, healthy watchdogs); ineligible runs fall back to the
+dense loop.  For eligible runs every skipped component is a proven
+no-op of the corresponding dense phase, so results — duty cycles,
+statistics, arbiter states, RNG position — are byte-identical to
+stepping.  The per-object engines remain intact
 (:meth:`Network.use_per_cycle_nbti` for the per-cycle oracle, dense
 stepping via ``force_engine="stepped"``) and the differential fuzz
 harness in ``tests/test_soa_equivalence.py`` enforces the equivalence
 across randomized scenarios, policies and traffic patterns.
+
+Telemetry is allowed: every probe fires inside a handler the engine
+runs on its dense cycle, and traced policies have their epoch
+boundaries pinned (:func:`~repro.noc.policy_api.pins_epoch_boundaries`)
+because each re-decision emits an event.  A traced run therefore gives
+every trace track the same event sequence as stepping; only events of
+different tracks in one cycle may interleave differently, since
+deliveries are grouped by kind across routers.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ import numpy as np
 
 from repro.nbti.duty_cycle import duty_cycles_percent_arrays
 from repro.noc.buffer import PowerState, VCBuffer
+from repro.noc.policy_api import pins_epoch_boundaries
 
 # Channel-record kinds (index 0 of each record tuple).
 _CTRL = 0   # Up_Down gate/wake commands into an input unit
@@ -250,14 +259,15 @@ class SoAEngine:
             self._ports.append((True, ni, -1, ni.injection_port))
 
         # --- epoch schedule: period -> port indexes -------------------
-        # Only non-cycle-free stable policies with a declared period need
-        # boundary re-runs (the fast-forward pin rule); cycle-free
-        # policies re-deciding on an unchanged context is a no-op.
+        # Only pinned policies with a declared period need boundary
+        # re-runs (the fast-forward pin rule, pins_epoch_boundaries);
+        # an untraced cycle-free policy re-deciding on an unchanged
+        # context is a no-op.
         by_period: Dict[int, List[int]] = {}
         for idx, (_, _, _, upstream) in enumerate(self._ports):
             for engine in upstream.engines:
                 policy = engine.policy
-                if policy.cycle_free_decide:
+                if not pins_epoch_boundaries(policy):
                     continue
                 period = getattr(policy, "epoch_period", None)
                 if period is not None:

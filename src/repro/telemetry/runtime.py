@@ -17,6 +17,11 @@ Instrumentation is handle-based: each component gets ``trace`` (the
 tracer) and ``trace_id`` (its track) attributes that default to
 ``None``/0, so the telemetry-off cost is one attribute test on the few
 event-driven paths — per-cycle hot loops are never touched.
+
+Attaching telemetry leaves engine selection alone: a traced run takes
+the SoA engine whenever the same run untraced would.  Each track's event
+sequence is identical on every engine; events of different tracks in
+one cycle may interleave differently (see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -211,9 +216,11 @@ def instrument_network(network, tracer: Tracer, config: TelemetryConfig) -> None
     from repro.noc.topology import port_name
 
     tracer.clock = lambda: network.cycle
-    # Traced runs must observe every cycle (per-cycle spans, replayable
-    # event ordering), so the quiescence fast-forward is disabled.
-    network.allow_fast_forward = False
+    # Every probe fires on a discrete event that the event-directed
+    # engines replay on the cycle dense stepping would, so the run keeps
+    # its engine (SoA when eligible).  The one time-driven probe, a
+    # traced policy's re-decision at each epoch boundary, is pinned by
+    # repro.noc.policy_api.pins_epoch_boundaries.
 
     for router in network.routers:
         rid = router.router_id

@@ -218,16 +218,29 @@ class TestFastForwardEquivalence:
 
 
 class TestFastForwardGates:
-    """Conditions that must force the dense stepping loop."""
+    """Conditions that do, and do not, force the dense stepping loop."""
 
-    def test_telemetry_instrumentation_disables_fast_forward(self):
+    def test_telemetry_instrumentation_keeps_soa_engine(self):
+        """Observing a run must not change which engine runs it."""
+        from repro.experiments.config import ScenarioConfig
+        from repro.experiments.runner import run_scenario
         from repro.telemetry.config import TelemetryConfig
         from repro.telemetry.runtime import Telemetry
 
         net = build_small_network()
-        assert net.allow_fast_forward
         Telemetry(TelemetryConfig()).attach(net)
-        assert not net.allow_fast_forward
+        assert net._soa_eligible()
+
+        scenario = ScenarioConfig(
+            num_nodes=4, num_vcs=2, injection_rate=0.1,
+            policy="sensor-wise", cycles=400, warmup=100, seed=1,
+        ).traced()
+        Network.force_engine = "soa"  # raises if the run is ineligible
+        try:
+            result = run_scenario(scenario)
+        finally:
+            Network.force_engine = None
+        assert result.telemetry.event_counts["policy.keep_awake"] > 0
 
     def test_fault_injection_disables_fast_forward(self):
         from repro.faults import FaultInjector, FaultSpec

@@ -2,7 +2,7 @@
 
 The SoA engine (``repro.noc.soa``) promises *bit-identical* simulation:
 any observable difference from the seed's per-object stepped engine is a
-bug by definition.  These tests enforce that contract four ways:
+bug by definition.  These tests enforce that contract five ways:
 
 * **Directed cases** — one case per recovery policy, plus regression
   pins for the configurations that diverged during engine bring-up
@@ -14,6 +14,8 @@ bug by definition.  These tests enforce that contract four ways:
 * **Scenario-level identity** — ``run_scenario`` must serialize to
   byte-identical JSON under the SoA and stepped engines for every
   policy.
+* **Traced runs** — with telemetry on, stepped, fast-forward and SoA
+  must agree on the ScenarioResult and on every trace track's events.
 * **Randomized fuzz** (``-m slow``) — a seeded cross-engine sweep over
   policies x traffic patterns x topologies x micro-architecture knobs.
 
@@ -269,24 +271,33 @@ def test_auto_selection_prefers_soa_when_eligible():
 # ----------------------------------------------------------------------
 # Scenario-level identity (default tier)
 # ----------------------------------------------------------------------
+def _jsonable(value):
+    """Plain JSON data: dataclasses to dicts, tuple keys to strings."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
 def scenario_payload(result) -> str:
-    """A ScenarioResult as canonical JSON (host timings excluded)."""
-    return json.dumps({
-        "scenario": dataclasses.asdict(result.scenario),
-        "iteration": result.iteration,
-        "duty_cycles": result.duty_cycles,
-        "md_vc": result.md_vc,
-        "port_duty": {
-            f"{r}.{p}": d for (r, p), d in sorted(result.port_duty.items())
-        },
-        "initial_vths": result.initial_vths,
-        "port_initial_vths": {
-            f"{r}.{p}": v
-            for (r, p), v in sorted(result.port_initial_vths.items())
-        },
-        "net_stats": dataclasses.asdict(result.net_stats),
-        "violations": result.violations,
-    }, sort_keys=True)
+    """Every ScenarioResult field as canonical JSON, host time excluded:
+    ``build_seconds``, ``sim_seconds`` and the telemetry ``phase.*``
+    metrics."""
+    blob = _jsonable({
+        f.name: getattr(result, f.name)
+        for f in dataclasses.fields(result)
+        if f.name not in ("build_seconds", "sim_seconds")
+    })
+    summary = blob["telemetry"]
+    if summary is not None:
+        summary["metrics"] = {
+            kind: {k: v for k, v in entries.items() if not k.startswith("phase.")}
+            for kind, entries in summary["metrics"].items()
+        }
+    return json.dumps(blob, sort_keys=True)
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES)
@@ -300,6 +311,58 @@ def test_scenario_result_identity(policy):
         with forced_engine(mode):
             payloads[mode] = scenario_payload(run_scenario(scenario))
     assert payloads["soa"] == payloads["stepped"]
+
+
+# ----------------------------------------------------------------------
+# Traced runs: telemetry keeps the engine (default tier)
+# ----------------------------------------------------------------------
+def track_sequences(path) -> dict:
+    """Simulated-time jsonl events grouped by track (tid), in file order.
+
+    Host-time events (``pid`` 1: runner phase spans) are left out.
+    """
+    from repro.telemetry.trace import PID_HOST
+
+    tracks: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            event = json.loads(line)
+            if event["pid"] != PID_HOST:
+                tracks.setdefault(event["tid"], []).append(line)
+    return tracks
+
+
+@pytest.mark.parametrize("rate", [0.01, 0.1])
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_traced_run_identity_across_engines(policy, rate, tmp_path):
+    """A traced run yields the same result and trace on every engine.
+
+    Stepped, fast-forward and automatic selection (SoA) must agree on
+    the whole ScenarioResult, event counts included, and on every
+    track's event sequence.  The trace is compared per track, not as a
+    whole file: the SoA engine groups same-cycle deliveries by kind
+    across routers, so events of *different* tracks within one cycle
+    may interleave in another order than under dense stepping.  Within
+    a track the order is the simulated causal order and must match.
+    """
+    scenario = ScenarioConfig(
+        num_nodes=4, num_vcs=2, injection_rate=rate, policy=policy,
+        traffic="uniform", cycles=1000, warmup=200, seed=3,
+    ).traced(trace_dir=str(tmp_path), formats=("jsonl",))
+    outputs = {}
+    for mode in ("stepped", "fast", None):
+        with forced_engine(mode):
+            result = run_scenario(scenario)
+        (path,) = result.telemetry.trace_files
+        outputs[mode] = (scenario_payload(result), track_sequences(path))
+    reference_payload, reference_tracks = outputs["stepped"]
+    assert reference_tracks
+    for mode in ("fast", None):
+        payload, tracks = outputs[mode]
+        assert payload == reference_payload, f"engine {mode}: result differs"
+        assert tracks.keys() == reference_tracks.keys()
+        for tid, events in reference_tracks.items():
+            assert tracks[tid] == events, f"engine {mode}: track {tid} differs"
 
 
 # ----------------------------------------------------------------------
