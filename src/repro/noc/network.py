@@ -100,10 +100,9 @@ class Network:
 
     #: Engine override for :meth:`run` (class attribute so tests and
     #: benchmarks can force an arm globally or per instance without
-    #: widening ``ScenarioConfig``):  ``None``/"auto" picks the SoA
-    #: engine when eligible, else fast-forward, else dense stepping;
-    #: "soa" requires eligibility (raises otherwise); "fast" skips the
-    #: SoA engine; "stepped" forces the dense per-cycle loop.
+    #: widening ``ScenarioConfig``):  ``None`` picks the SoA engine when
+    #: eligible, else dense stepping; "soa" requires eligibility
+    #: (raises otherwise); "stepped" forces the dense per-cycle loop.
     force_engine: Optional[str] = None
 
     def __init__(
@@ -137,10 +136,10 @@ class Network:
         #: reset_stats re-bases it so mid-run counter resets (warm-up
         #: discard) don't fake conservation violations.
         self.conservation_baseline = 0
-        #: Master switch for the fast engines (SoA and quiescence
-        #: fast-forward) in :meth:`run`.  Fault injection and the
-        #: per-cycle NBTI reference clear it so those runs take the
-        #: dense per-cycle stepping loop; telemetry leaves it set.
+        #: Master switch for the SoA engine in :meth:`run`.  Fault
+        #: injection and the per-cycle NBTI reference clear it so those
+        #: runs take the dense per-cycle stepping loop; telemetry
+        #: leaves it set.
         self.allow_fast_forward = True
 
         self.routers: List[Router] = []
@@ -149,10 +148,9 @@ class Network:
         self.devices: Dict[VCKey, PMOSDevice] = {}
         # Flat traversal lists for the hot path, filled by _build():
         # units carrying NBTI devices, units with power/occupancy state,
-        # every delay line, and every sensor bank.
+        # and every sensor bank.
         self._nbti_units: List[InputUnit] = []
         self._power_units: List[InputUnit] = []
-        self._all_channels: List[Channel] = []
         self._sensor_banks: List[SensorBank] = []
 
         self._build(policy_factory)
@@ -321,10 +319,6 @@ class Network:
                 if unit.sensor_bank is not None:
                     self._sensor_banks.append(unit.sensor_bank)
             self._power_units.append(eject_units[node])
-        for chans in channels.values():
-            self._all_channels.extend(chans.values())
-        for chans in eject_channels.values():
-            self._all_channels.extend(chans.values())
 
         # Initial Down_Up latch: every upstream port learns each vnet's
         # most-degraded VC of its downstream before the first cycle.
@@ -385,15 +379,16 @@ class Network:
     ) -> int:
         """Advance the network ``cycles`` cycles; return the violation count.
 
-        The hot path fast-forwards *quiescent* windows: when nothing is
-        buffered, queued, waking or in flight on any link, and every
-        event source can report its next event cycle (traffic injection,
-        sensor samples, policy epoch boundaries), the clock jumps
-        directly to that event.  Results are byte-identical to stepping:
-        skipped cycles are provably no-ops, and the traffic RNG consumes
+        There are two run paths.  Eligible runs (:meth:`_soa_eligible`)
+        take the event-directed SoA engine (:mod:`repro.noc.soa`), which
+        visits only components with work and jumps the clock over cycles
+        where nothing is due.  Results are byte-identical to stepping:
+        skipped work is provably a no-op, and the traffic RNG consumes
         exactly the draws the skipped cycles would have made.  Runs with
-        ``validate_every > 0``, faults, or an unsupported traffic
-        generator use the dense stepping loop.
+        ``validate_every > 0``, faults or the per-cycle NBTI reference
+        take the dense stepping loop (:meth:`step`), which is also the
+        oracle the equivalence tests compare SoA against.
+        :attr:`force_engine` pins either path.
 
         Telemetry does not change the engine: traced runs take SoA when
         eligible, like untraced ones.  Traced policies get their epoch
@@ -423,10 +418,10 @@ class Network:
         end = self.cycle + cycles
         violations = 0
         force = self.force_engine
-        if force not in (None, "auto", "soa", "fast", "stepped"):
+        if force not in (None, "soa", "stepped"):
             raise ValueError(f"unknown force_engine {force!r}")
         if validate_every == 0:
-            if force in (None, "auto", "soa") and self._soa_eligible():
+            if force != "stepped" and self._soa_eligible():
                 from repro.noc.soa import SoAEngine
 
                 SoAEngine(self).run_span(end)
@@ -435,16 +430,9 @@ class Network:
                     "force_engine='soa' but the network is not SoA-eligible "
                     "(faults/per-cycle NBTI or unstable policies)"
                 )
-            elif force == "stepped":
+            else:
                 while self.cycle < end:
                     self.step()
-            else:
-                plan = self._fast_forward_plan()
-                if plan is None:
-                    while self.cycle < end:
-                        self.step()
-                else:
-                    self._run_fast(end, plan)
         else:
             from repro.noc.validation import validate_network
 
@@ -466,13 +454,21 @@ class Network:
     def _soa_eligible(self) -> bool:
         """Check struct-of-arrays engine eligibility (see ``noc/soa.py``).
 
-        The gates match :meth:`_fast_forward_plan` minus the traffic
-        probe (an unsupported generator is simply consulted per cycle),
-        plus the watchdog-safety bound made explicit: Down_Up
-        heartbeats arrive one per sensor sample, so as long as every
-        staleness threshold covers the longest sample period and no
-        plausibility interval exceeds the shortest one, ``faulted`` can
-        never flip mid-run and skipped watchdog ticks are no-ops.
+        Eligibility requires :attr:`allow_fast_forward` (cleared by
+        faults and the per-cycle NBTI reference), fault-free sensor
+        banks, healthy watchdogs, and every recovery policy *stable*
+        with a declared ``epoch_period`` or a constant epoch where
+        :func:`pins_epoch_boundaries` asks for a pin.  Untraced
+        ``cycle_free_decide`` policies need no pin: their healthy
+        decision never reads ``ctx.cycle``, so skipped epoch boundaries
+        provably change nothing.  Traffic needs no gate: a generator
+        without ``next_injection_cycle`` is simply consulted per cycle.
+
+        The watchdog-safety bound is explicit: Down_Up heartbeats
+        arrive one per sensor sample, so as long as every staleness
+        threshold covers the longest sample period and no plausibility
+        interval exceeds the shortest one, ``faulted`` can never flip
+        mid-run and skipped watchdog ticks are no-ops.
         """
         if not self.allow_fast_forward:
             return False
@@ -500,132 +496,6 @@ class Network:
                 if period is None and policy.epoch(0) != policy.epoch(1 << 30):
                     return False
         return True
-
-    # ------------------------------------------------------------------
-    # Quiescence fast-forward
-    # ------------------------------------------------------------------
-    def _fast_forward_plan(
-        self,
-    ) -> Optional[Tuple[List[int], List[SensorBank]]]:
-        """Check fast-forward eligibility; return the pinned-event plan.
-
-        ``None`` means "step every cycle".  Eligibility requires:
-
-        * :attr:`allow_fast_forward` (cleared by faults),
-        * a traffic generator that implements ``next_injection_cycle``
-          (``None`` from the probe means unsupported), and
-        * every recovery policy *stable* with a declared
-          ``epoch_period`` (pinned) or a constant epoch, and no engine
-          currently degraded (watchdog accounting is per-cycle).
-          Policies that :func:`pins_epoch_boundaries` exempts (untraced
-          ``cycle_free_decide``) need no pin at all: their healthy
-          decision is a pure function of the context, so skipped epoch
-          boundaries provably change nothing.
-
-        The plan is the sorted set of distinct epoch periods plus every
-        sensor bank (whose next sample cycle pins jumps); faulted banks
-        force stepping since their hooks may act on any cycle.
-        """
-        if not self.allow_fast_forward:
-            return None
-        traffic = self.traffic
-        if traffic is not None:
-            probe = getattr(traffic, "next_injection_cycle", None)
-            if probe is None or probe(self.cycle) is None:
-                return None
-        periods = set()
-        for port in self.upstream_ports():
-            for engine in port.engines:
-                if engine.faulted:
-                    return None
-                policy = engine.policy
-                if not policy.stable:
-                    return None
-                if not pins_epoch_boundaries(policy):
-                    # The healthy-path decision never reads ctx.cycle, so
-                    # re-evaluating after a jump with an unchanged context
-                    # reproduces the applied decision verbatim (no
-                    # commands issued, no probe event) — epoch boundaries
-                    # need no pin.  Eligibility already guarantees the
-                    # engine stays healthy (fault-free banks heartbeat
-                    # well inside the watchdog thresholds), so the
-                    # cycle-dependent fallback can never engage mid-run.
-                    continue
-                period = getattr(policy, "epoch_period", None)
-                if period is not None:
-                    periods.add(period)
-                elif policy.epoch(0) != policy.epoch(1 << 30):
-                    return None  # time-varying epoch with undeclared period
-        if any(bank.fault is not None for bank in self._sensor_banks):
-            return None
-        return (sorted(periods), self._sensor_banks)
-
-    def _quiescent(self) -> bool:
-        """Nothing queued, resident, waking, or in flight anywhere.
-
-        Runs after every fast-mode step, so the checks are ordered by
-        likelihood of an early exit during an active burst (a resident
-        packet keeps some unit busy for the whole traversal) and read
-        the heap of each delay line directly instead of going through
-        its ``in_flight`` property.
-        """
-        for unit in self._power_units:
-            if unit.busy_count or unit._any_waking:
-                return False
-        for channel in self._all_channels:
-            if channel._queue:
-                return False
-        for ni in self.interfaces:
-            if not ni.is_idle():
-                return False
-        return True
-
-    def _run_fast(self, end: int, plan: Tuple[List[int], List[SensorBank]]) -> None:
-        """Stepping loop that jumps over quiescent windows.
-
-        After each simulated cycle, if the network is quiescent the
-        clock jumps to the earliest *pinned* cycle: the traffic
-        generator's next injection (its RNG is bulk-advanced over the
-        skip so the stream position matches stepping exactly), the next
-        actual sensor sample of any bank, a policy epoch boundary, or
-        the end of the run.  Every skipped cycle is a provable no-op:
-        deliveries, ejection, policy memos, VA/SA and the NBTI phase all
-        see no work, and interval accounting books the skipped cycles at
-        the next flush.
-        """
-        periods, banks = plan
-        traffic = self.traffic
-        while self.cycle < end:
-            self.step()
-            cycle = self.cycle
-            if cycle >= end or not self._quiescent():
-                continue
-            if traffic is not None:
-                target = traffic.next_injection_cycle(cycle)
-                if target is None:
-                    # Support withdrawn mid-run: step the remainder.
-                    while self.cycle < end:
-                        self.step()
-                    return
-                target = min(end, target)
-            else:
-                target = end
-            for period in periods:
-                # Smallest epoch boundary >= cycle (cycle itself may be
-                # one: it must then be stepped, not skipped).
-                boundary = -(-cycle // period) * period
-                if boundary < target:
-                    target = boundary
-            for bank in banks:
-                last = bank.last_sample_cycle
-                due = 0 if last < 0 else last + bank.sample_period
-                if due < target:
-                    target = due
-            delta = target - cycle
-            if delta > 0:
-                if traffic is not None:
-                    traffic.advance(delta)
-                self.cycle = target
 
     @staticmethod
     def _ni_deliver(ni: NetworkInterface, cycle: int) -> None:
@@ -665,12 +535,12 @@ class Network:
 
         Every tracked device is aged by one counter increment per
         simulated cycle (the seed engine's O(cycles x devices)
-        schedule) instead of by interval flushes, and fast-forward is
+        schedule) instead of by interval flushes, and the SoA engine is
         disabled since skipped cycles would skip ticks.  Results are
         bit-identical to the default engine; only the cost model
         changes.  This is the baseline arm of
-        ``benchmarks/hotpath_speedup.py`` and the oracle the
-        equivalence tests compare against.
+        ``benchmarks/soa_speedup.py`` and the oracle the equivalence
+        tests compare against.
         """
         self.allow_fast_forward = False
         for router in self.routers:

@@ -157,24 +157,24 @@ class RecoveryPolicy:
     stable: bool = False
     #: Period of :meth:`epoch` in cycles, when the epoch is
     #: time-varying: ``epoch(c) == epoch(c')`` whenever
-    #: ``c // epoch_period == c' // epoch_period``.  The network's
-    #: quiescence fast-forward pins jumps at these boundaries so a
-    #: rotating policy re-evaluates exactly where stepping would.
-    #: ``None`` (the default) declares a time-invariant epoch; a policy
-    #: whose epoch varies without declaring its period disables
-    #: fast-forward (conservative).
+    #: ``c // epoch_period == c' // epoch_period``.  The SoA engine
+    #: re-runs the policy at these boundaries (and never jumps past
+    #: one) so a rotating policy re-evaluates exactly where stepping
+    #: would.  ``None`` (the default) declares a time-invariant epoch;
+    #: a policy whose epoch varies without declaring its period makes
+    #: the network ineligible for SoA (conservative: dense stepping).
     epoch_period: Optional[int] = None
     #: A stronger property than a declared period: the healthy-path
     #: :meth:`decide` never reads ``ctx.cycle`` at all — the decision is
     #: a pure function of VC states, traffic bit and sensor input.  The
-    #: fast-forward planner then skips the policy's epoch boundaries
-    #: entirely: re-evaluating after a jump with an unchanged context
+    #: SoA engine then skips the policy's epoch boundaries entirely:
+    #: re-evaluating after a jump with an unchanged context
     #: reproduces the already-applied decision, so no commands are
     #: issued and nothing observable differs from stepping.  Policies
     #: whose candidate rotates with the cycle (round-robin) must leave
     #: this False.  Only consulted while the engine is healthy; a policy
     #: with a cycle-dependent *degraded* fallback may still declare it,
-    #: because fast-forward eligibility requires fault-free sensors,
+    #: because SoA eligibility requires fault-free sensors,
     #: whose heartbeats provably keep the watchdog below both the
     #: staleness and plausibility thresholds.  A traced policy is still
     #: pinned (see :func:`pins_epoch_boundaries`): each re-decision
@@ -206,18 +206,17 @@ class RecoveryPolicy:
 
 
 def pins_epoch_boundaries(policy: RecoveryPolicy) -> bool:
-    """Whether the fast engines must re-run ``policy`` at epoch boundaries.
+    """Whether the SoA engine must re-run ``policy`` at epoch boundaries.
 
-    The one pin rule shared by quiescence fast-forward
-    (:meth:`Network._fast_forward_plan`) and the SoA engine (its
-    eligibility check and its epoch schedule).  Dense
+    The one pin rule shared by SoA eligibility
+    (:meth:`Network._soa_eligible`) and the SoA epoch schedule.  Dense
     stepping re-runs a stable policy whenever its epoch changes; the
-    fast engines may skip those boundaries only when doing so is
+    SoA engine may skip those boundaries only when doing so is
     unobservable, i.e. the healthy decision ignores the cycle
     (``cycle_free_decide``) *and* no tracer records the re-decision.
     Traced policies bypass the port's decision value cache, so every
     boundary re-decide emits ``policy.keep_awake`` under stepping and
-    must therefore happen under the fast engines too.
+    must therefore happen under the SoA engine too.
     """
     return not policy.cycle_free_decide or policy.trace is not None
 

@@ -28,9 +28,9 @@ it has work, components tell the engine when they will:
   insensitive groups the dense phases process them in;
 * every policy engine notifies on memo busts
   (:attr:`VnetEngine.on_invalidate`), so ``run_policy`` runs exactly
-  when the dense engine's memoization would miss — plus at declared
-  epoch boundaries, the same pinned events quiescence fast-forward
-  uses;
+  when the dense engine's memoization would miss — plus at the
+  declared epoch boundaries of pinned policies
+  (:func:`pins_epoch_boundaries`);
 * VA / SA / NI phases run only for routers and interfaces whose
   occupancy counters show resident work, which is precisely the
   condition under which the dense phases do anything but iterate;
@@ -41,19 +41,17 @@ it has work, components tell the engine when they will:
   byte-identical to per-cycle ``inject()`` calls.
 
 Whenever every activity structure is empty the engine jumps the clock
-to the next pinned event exactly like
-:meth:`Network._run_fast` — the SoA engine strictly generalizes
-quiescence fast-forward to per-component quiescence.
+to the next pinned event: the next scouted injection, the next sensor
+sample, the next pinned epoch boundary or the end of the span.
 
 Correctness contract
 --------------------
-Eligibility is checked by :meth:`Network._soa_eligible` under the same
-rules fast-forward uses (no faults, stable policies with declared or
-constant epochs, healthy watchdogs); ineligible runs fall back to the
-dense loop.  For eligible runs every skipped component is a proven
-no-op of the corresponding dense phase, so results — duty cycles,
-statistics, arbiter states, RNG position — are byte-identical to
-stepping.  The per-object engines remain intact
+Eligibility is checked by :meth:`Network._soa_eligible` (no faults,
+stable policies with declared or constant epochs, healthy watchdogs);
+ineligible runs fall back to the dense loop.  For eligible runs every
+skipped component is a proven no-op of the corresponding dense phase,
+so results — duty cycles, statistics, arbiter states, RNG position —
+are byte-identical to stepping.  The per-object engines remain intact
 (:meth:`Network.use_per_cycle_nbti` for the per-cycle oracle, dense
 stepping via ``force_engine="stepped"``) and the differential fuzz
 harness in ``tests/test_soa_equivalence.py`` enforces the equivalence
@@ -260,7 +258,7 @@ class SoAEngine:
 
         # --- epoch schedule: period -> port indexes -------------------
         # Only pinned policies with a declared period need boundary
-        # re-runs (the fast-forward pin rule, pins_epoch_boundaries);
+        # re-runs (the pin rule, pins_epoch_boundaries);
         # an untraced cycle-free policy re-deciding on an unchanged
         # context is a no-op.
         by_period: Dict[int, List[int]] = {}

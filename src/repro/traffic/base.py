@@ -42,21 +42,22 @@ class TrafficGenerator:
         scan-horizon cap is fine) — the caller simply simulates ``t``
         and asks again.  ``math.inf`` means the generator will never
         inject again.  The base class returns ``None``: *unsupported* —
-        the network then steps every cycle (fast-forward disabled).
-        Generators that implement this must also implement
-        :meth:`advance`.
+        the SoA engine then consults :meth:`inject` every cycle instead
+        of jumping to scouted injection cycles.  Generators that
+        implement this must also implement :meth:`advance`.
         """
         return None
 
     def advance(self, cycles: int) -> None:
         """Consume the RNG draws of ``cycles`` injection-free cycles.
 
-        Called by the fast-forward engine instead of ``cycles``
-        individual :meth:`inject` calls, so the stream position stays
+        Called by the SoA engine instead of ``cycles`` individual
+        :meth:`inject` calls, so the stream position stays
         byte-identical to per-cycle stepping.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not support fast-forward"
+            f"{type(self).__name__} does not support injection scouting "
+            "(the SoA engine consults it every cycle)"
         )
 
     def describe(self) -> str:

@@ -1,9 +1,10 @@
-"""Hot-path engine tests: interval NBTI accounting, quiescence
-fast-forward, the unified most-degraded tie-break, and the reconciled
+"""Hot-path engine tests: interval NBTI accounting, the automatically
+selected SoA engine against dense stepping, the SoA eligibility gates,
+the unified most-degraded tie-break, and the reconciled
 ``validate_every`` code path.
 
 The load-bearing property throughout is **byte-identity**: the interval
-accounting and the fast-forward must produce exactly the results of the
+accounting and the SoA engine must produce exactly the results of the
 legacy per-cycle stepping loop, not merely statistically similar ones.
 """
 
@@ -18,6 +19,7 @@ from repro.nbti.process_variation import ProcessVariationModel
 from repro.nbti.transistor import PMOSDevice
 from repro.noc.buffer import PowerState, VCBuffer
 from repro.noc.network import Network
+from repro.noc.soa import SoAEngine
 from repro.traffic.synthetic import SyntheticTraffic
 
 from tests.conftest import build_small_network
@@ -40,9 +42,10 @@ def harvest(net: Network):
     return net.cycle, duty, counters, net.stats().__dict__
 
 
-def run_pair(policy: str, flit_rate: float, cycles: int, warmup: int = 0,
-             **kwargs):
-    """Run identical networks with and without fast-forward."""
+def run_engine_pair(policy: str, flit_rate: float, cycles: int,
+                    warmup: int = 0, **kwargs):
+    """Run identical networks on automatic engine selection (SoA when
+    eligible) and on dense stepping; return ``[auto, stepped]``."""
     nets = []
     for allow in (True, False):
         net = build_small_network(policy=policy, flit_rate=flit_rate, **kwargs)
@@ -142,51 +145,66 @@ class TestIntervalAccounting:
 
 
 class TestFastForwardEquivalence:
-    """Network.run with fast-forward vs the dense stepping loop."""
+    """Network.run on automatic selection (SoA) vs dense stepping."""
 
     @pytest.mark.parametrize("policy", [
         "sensor-wise", "rr-no-sensor", "rr-no-sensor-no-traffic",
         "baseline", "static-reserve",
     ])
     def test_low_rate_runs_identical(self, policy):
-        fast, slow = run_pair(policy, flit_rate=0.02, cycles=3000)
-        assert harvest(fast) == harvest(slow)
+        auto, stepped = run_engine_pair(policy, flit_rate=0.02, cycles=3000)
+        assert harvest(auto) == harvest(stepped)
 
     def test_identical_after_warmup_and_reset(self):
-        fast, slow = run_pair("sensor-wise", flit_rate=0.02,
-                              cycles=2000, warmup=500)
-        assert harvest(fast) == harvest(slow)
+        auto, stepped = run_engine_pair("sensor-wise", flit_rate=0.02,
+                                        cycles=2000, warmup=500)
+        assert harvest(auto) == harvest(stepped)
 
     def test_identical_with_null_traffic(self):
-        fast, slow = run_pair("sensor-wise", flit_rate=0.0, cycles=2000)
-        assert harvest(fast) == harvest(slow)
+        auto, stepped = run_engine_pair("sensor-wise", flit_rate=0.0,
+                                        cycles=2000)
+        assert harvest(auto) == harvest(stepped)
 
     def test_identical_at_moderate_rate(self):
         """Few quiescent windows, but any that occur must still be exact."""
-        fast, slow = run_pair("sensor-wise", flit_rate=0.2, cycles=1500)
-        assert harvest(fast) == harvest(slow)
+        auto, stepped = run_engine_pair("sensor-wise", flit_rate=0.2,
+                                        cycles=1500)
+        assert harvest(auto) == harvest(stepped)
 
     def test_fast_forward_actually_skips_cycles(self):
+        """Automatic selection runs SoA, which never calls Network.step
+        and consults the traffic generator only at scouted injection
+        cycles, so the clock really jumps over injection-free gaps."""
         net = build_small_network(policy="sensor-wise", flit_rate=0.01)
         stepped = 0
-        original = net.step
+        inject_calls = 0
+        original_step = net.step
+        original_inject = net.traffic.inject
 
         def counting_step():
             nonlocal stepped
             stepped += 1
-            original()
+            original_step()
+
+        def counting_inject(cycle):
+            nonlocal inject_calls
+            inject_calls += 1
+            return original_inject(cycle)
 
         net.step = counting_step
+        net.traffic.inject = counting_inject
         net.run(4000)
         assert net.cycle == 4000
-        assert stepped < 4000, "no quiescent window was fast-forwarded"
+        assert stepped == 0, "automatic selection fell back to stepping"
+        assert 0 < inject_calls < 4000, "the SoA scout did not jump"
 
     def test_traffic_rng_position_matches_stepping(self):
-        """After a fast-forwarded run the traffic RNG must sit exactly
-        where per-cycle stepping would have left it."""
-        fast, slow = run_pair("sensor-wise", flit_rate=0.01, cycles=3000)
-        assert fast.traffic._rng.bit_generator.state == \
-            slow.traffic._rng.bit_generator.state
+        """After an SoA run the traffic RNG must sit exactly where
+        per-cycle stepping would have left it."""
+        auto, stepped = run_engine_pair("sensor-wise", flit_rate=0.01,
+                                        cycles=3000)
+        assert auto.traffic._rng.bit_generator.state == \
+            stepped.traffic._rng.bit_generator.state
 
     @pytest.mark.parametrize("policy,rate", [
         ("sensor-wise", 0.02), ("rr-no-sensor", 0.02),
@@ -195,30 +213,30 @@ class TestFastForwardEquivalence:
     def test_per_cycle_reference_engine_identical(self, policy, rate):
         """The in-engine reference mode (per-cycle ticks, dense loop)
         must reproduce the interval engine bit for bit — it is the
-        baseline arm of benchmarks/hotpath_speedup.py."""
-        fast = build_small_network(policy=policy, flit_rate=rate)
+        baseline arm of benchmarks/soa_speedup.py."""
+        interval = build_small_network(policy=policy, flit_rate=rate)
         reference = build_small_network(policy=policy, flit_rate=rate)
         reference.use_per_cycle_nbti()
-        for net in (fast, reference):
+        for net in (interval, reference):
             net.run(400)
             net.reset_nbti()
             net.reset_stats()
             net.run(2000)
-        assert harvest(fast) == harvest(reference)
+        assert harvest(interval) == harvest(reference)
 
     def test_cycle_free_policy_needs_no_epoch_pin(self):
         """Sensor-wise declares a cycle-free healthy decision, so the
-        planner pins no epoch periods for it (jumps may cross rotation
-        boundaries of the — never engaged — degraded fallback)."""
+        SoA engine pins no epoch periods for it (jumps may cross
+        rotation boundaries of the — never engaged — degraded
+        fallback)."""
         net = build_small_network(policy="sensor-wise", flit_rate=0.01)
-        plan = net._fast_forward_plan()
-        assert plan is not None
-        periods, _banks = plan
-        assert periods == []
+        assert net._soa_eligible()
+        assert SoAEngine(net)._periods == []
 
 
 class TestFastForwardGates:
-    """Conditions that do, and do not, force the dense stepping loop."""
+    """Conditions that do, and do not, make a network SoA-ineligible
+    (and so force the dense stepping loop)."""
 
     def test_telemetry_instrumentation_keeps_soa_engine(self):
         """Observing a run must not change which engine runs it."""
@@ -250,33 +268,54 @@ class TestFastForwardGates:
                          onset=100, duration=300)
         FaultInjector([spec], master_seed=3).apply(net)
         assert not net.allow_fast_forward
-        assert net._fast_forward_plan() is None
+        assert not net._soa_eligible()
 
-    def test_unsupported_traffic_disables_plan(self):
-        net = build_small_network()
+    def test_unsupported_traffic_keeps_soa_engine(self):
+        """A generator that cannot scout its next injection is simply
+        consulted every cycle: the run stays on SoA and matches
+        stepping."""
 
         class Opaque:
-            def inject(self, cycle):
-                return []
+            """Uniform traffic without ``next_injection_cycle``."""
 
-        net.traffic = Opaque()
-        assert net._fast_forward_plan() is None
-        net.run(100)  # dense loop still works
-        assert net.cycle == 100
+            def __init__(self):
+                self._inner = SyntheticTraffic("uniform", 4, flit_rate=0.05,
+                                               seed=3)
+
+            def inject(self, cycle):
+                return self._inner.inject(cycle)
+
+        harvests = {}
+        for mode in ("soa", "stepped"):
+            net = build_small_network(traffic=Opaque())
+            assert net._soa_eligible()
+            Network.force_engine = mode  # "soa" raises if ineligible
+            try:
+                net.run(1500)
+            finally:
+                Network.force_engine = None
+            assert net.stats().packets_ejected > 0
+            harvests[mode] = harvest(net)
+        assert harvests["soa"] == harvests["stepped"]
 
     def test_undeclared_time_varying_epoch_disables_plan(self):
         net = build_small_network(policy="rr-no-sensor")
+        assert net._soa_eligible()
         policy = net.upstream_ports()[0].engines[0].policy
         policy.epoch_period = None  # varying epoch, period withdrawn
-        assert net._fast_forward_plan() is None
+        assert not net._soa_eligible()
 
     def test_plan_collects_declared_epoch_periods(self):
+        """Round-robin rotates with the cycle, so SoA pins its declared
+        epoch period; sensor samples of every bank pin jumps too."""
         net = build_small_network(policy="rr-no-sensor")
-        plan = net._fast_forward_plan()
-        assert plan is not None
-        periods, banks = plan
-        assert periods == [64]
-        assert len(banks) == len(net._sensor_banks)
+        engine = SoAEngine(net)
+        assert engine._periods == [64]
+        net.run(100)
+        assert engine._compute_next_sample(net.cycle) == min(
+            bank.last_sample_cycle + bank.sample_period
+            for bank in net._sensor_banks
+        )
 
 
 class TestTrafficScout:

@@ -324,25 +324,25 @@ class TestRejuvenationPolicy:
 
 
 # ----------------------------------------------------------------------
-# Engine equivalence: stepped / fast-forward / SoA
+# Engine equivalence: stepped / SoA / automatic selection
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy", ["rejuvenation", "rejuvenation-sensor"])
 def test_three_engines_agree_on_rejuvenation(policy):
     from tests.test_soa_equivalence import assert_engines_agree
 
     assert_engines_agree(
-        policy, 0.05, 2600, 3, engines=("stepped", "fast", "soa")
+        policy, 0.05, 2600, 3, engines=("stepped", "soa", None)
     )
 
 
 @pytest.mark.parametrize("policy", ["rejuvenation", "rejuvenation-sensor"])
 def test_engines_agree_on_idle_rejuvenation(policy):
-    """Quiescent network: the fast-forward planner must pin jumps at the
+    """Quiescent network: the SoA engine must pin jumps at the
     gcd(period, duration) epoch boundaries to replay window edges."""
     from tests.test_soa_equivalence import assert_engines_agree
 
     assert_engines_agree(
-        policy, 0.0, 2400, 5, engines=("stepped", "fast", "soa")
+        policy, 0.0, 2400, 5, engines=("stepped", "soa", None)
     )
 
 

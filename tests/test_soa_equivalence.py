@@ -9,13 +9,14 @@ bug by definition.  These tests enforce that contract five ways:
   (same-cycle channel-event ordering with 4 VCs, the cycle-0
   injection-scout sentinel at zero rate, non-unit wake/link latency,
   multi-vnet scheduling, short sensor sample periods).
-* **Three-way engine equality** — stepped vs fast-forward vs SoA must
-  agree on the full state fingerprint.
+* **Engine-selection equality** — stepped, forced SoA and automatic
+  selection must agree on the full state fingerprint.
 * **Scenario-level identity** — ``run_scenario`` must serialize to
   byte-identical JSON under the SoA and stepped engines for every
   policy.
-* **Traced runs** — with telemetry on, stepped, fast-forward and SoA
-  must agree on the ScenarioResult and on every trace track's events.
+* **Traced runs** — with telemetry on, stepped and automatic
+  selection (SoA) must agree on the ScenarioResult and on every trace
+  track's events.
 * **Randomized fuzz** (``-m slow``) — a seeded cross-engine sweep over
   policies x traffic patterns x topologies x micro-architecture knobs.
 
@@ -40,6 +41,7 @@ from repro.core import ALL_POLICIES
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.noc.network import Network
+from repro.noc.topology import LOCAL
 from repro.traffic.synthetic import HotspotTraffic, SyntheticTraffic
 
 from tests.conftest import build_small_network
@@ -56,6 +58,23 @@ def forced_engine(mode):
         yield
     finally:
         Network.force_engine = None
+
+
+def delay_lines(net: Network) -> list:
+    """Every channel of the network once, reached through the wiring:
+    the four lines into each router input port and each NI ejection
+    unit (data, Up_Down, credit, Down_Up)."""
+    lines = []
+    for r in net.routers:
+        for p in r.input_ports:
+            wiring = r.inputs[p]
+            lines += [wiring.data_channel, wiring.control_channel,
+                      wiring.unit.credit_channel, r.down_up_channels[p]]
+    for ni in net.interfaces:
+        eject = net.routers[ni.node_id].outputs[LOCAL]
+        lines += [ni._eject_data_channel, ni._eject_control_channel,
+                  eject.credit_channel, eject.down_up_channel]
+    return lines
 
 
 def fingerprint(net: Network) -> dict:
@@ -117,7 +136,7 @@ def fingerprint(net: Network) -> dict:
                 e.faulted, e._ctx_version, e._alloc_arbiter.pointer,
             )
     # Flit has identity equality only, so in-flight items compare by repr.
-    for i, ch in enumerate(net._all_channels):
+    for i, ch in enumerate(delay_lines(net)):
         fp[f"chan{i}"] = [(due, repr(item)) for due, item in ch._queue]
     if net.traffic is not None and hasattr(net.traffic, "_rng"):
         fp["rng"] = str(net.traffic._rng.bit_generator.state)
@@ -239,9 +258,19 @@ def test_hotspot_traffic_matches():
 
 
 def test_three_engines_agree():
-    """stepped, fast-forward and SoA all produce the same fingerprint."""
+    """stepped, forced SoA and automatic selection all produce the same
+    fingerprint."""
     assert_engines_agree("sensor-wise", 0.02, 2400, 7,
-                         engines=("stepped", "fast", "soa"))
+                         engines=("stepped", "soa", None))
+
+
+@pytest.mark.parametrize("mode", ["fast", "auto"])
+def test_removed_engine_modes_are_rejected(mode):
+    """force_engine accepts exactly None, "soa" and "stepped"."""
+    with forced_engine(mode):
+        net = build_small_network()
+        with pytest.raises(ValueError, match="unknown force_engine"):
+            net.run(10)
 
 
 def test_force_soa_rejects_ineligible_network():
@@ -337,7 +366,7 @@ def track_sequences(path) -> dict:
 def test_traced_run_identity_across_engines(policy, rate, tmp_path):
     """A traced run yields the same result and trace on every engine.
 
-    Stepped, fast-forward and automatic selection (SoA) must agree on
+    Stepped and automatic selection (SoA) must agree on
     the whole ScenarioResult, event counts included, and on every
     track's event sequence.  The trace is compared per track, not as a
     whole file: the SoA engine groups same-cycle deliveries by kind
@@ -350,19 +379,18 @@ def test_traced_run_identity_across_engines(policy, rate, tmp_path):
         traffic="uniform", cycles=1000, warmup=200, seed=3,
     ).traced(trace_dir=str(tmp_path), formats=("jsonl",))
     outputs = {}
-    for mode in ("stepped", "fast", None):
+    for mode in ("stepped", None):
         with forced_engine(mode):
             result = run_scenario(scenario)
         (path,) = result.telemetry.trace_files
         outputs[mode] = (scenario_payload(result), track_sequences(path))
     reference_payload, reference_tracks = outputs["stepped"]
     assert reference_tracks
-    for mode in ("fast", None):
-        payload, tracks = outputs[mode]
-        assert payload == reference_payload, f"engine {mode}: result differs"
-        assert tracks.keys() == reference_tracks.keys()
-        for tid, events in reference_tracks.items():
-            assert tracks[tid] == events, f"engine {mode}: track {tid} differs"
+    payload, tracks = outputs[None]
+    assert payload == reference_payload, "automatic selection: result differs"
+    assert tracks.keys() == reference_tracks.keys()
+    for tid, events in reference_tracks.items():
+        assert tracks[tid] == events, f"automatic selection: track {tid} differs"
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +435,7 @@ def test_fault_campaign_golden_bytes_with_auto_selection():
         policies=("rr-no-sensor", "sensor-wise"),
         validate_every=16,
     )
-    with forced_engine("auto"):
+    with forced_engine(None):
         report = run_fault_campaign(config)
     golden = (GOLDEN / "fault_campaign_small_golden.json").read_text()
     assert report.to_json() == golden
