@@ -1,8 +1,9 @@
 """Parallel-campaign acceptance check: identical artifacts + speedup.
 
-Runs the same small campaign twice — serially and on a 4-worker
-process pool — verifies the persisted table JSON is **byte-identical**,
-and reports wall-clock timing. Results go to stdout and
+Runs the same small campaign twice — serially in-process and with up
+to ``--jobs`` worker processes — verifies the persisted table JSON is
+**byte-identical**, and reports wall-clock timing. Results go to
+stdout and
 ``benchmarks/PARALLEL.md`` records the reference numbers.
 
 Standalone on purpose (not pytest-collected): it times full campaigns,

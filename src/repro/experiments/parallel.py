@@ -1,4 +1,4 @@
-"""Parallel scenario execution: executors, result cache, progress.
+"""Parallel scenario execution: executor, result cache, progress.
 
 Every paper artifact is a pile of independent ``run_scenario`` calls —
 the comparison protocol (identical traffic/PV per policy) is enforced
@@ -7,10 +7,12 @@ never by shared state, which makes the sweep embarrassingly parallel.
 This module exploits that:
 
 * :class:`Executor` maps ``(ScenarioConfig, iteration)`` work units to
-  :class:`~repro.experiments.runner.ScenarioResult` objects either
-  serially or on a ``concurrent.futures`` process pool, with results
-  bit-identical to a serial run (determinism is a property of the
-  work units, not of scheduling; verified by ``tests/test_parallel.py``).
+  :class:`~repro.experiments.runner.ScenarioResult` objects through one
+  dispatch loop fed by one of three worker sources — in-process calls,
+  killable ``multiprocessing.Process`` workers, or leased remote
+  workers — with results bit-identical whichever source ran them
+  (determinism is a property of the work units, not of scheduling;
+  verified by ``tests/test_parallel.py``).
 * :class:`ResultCache` is an on-disk cache keyed by a stable hash of
   the scenario parameters, the iteration and a schema/code version, so
   repeated campaigns and benchmarks skip already-computed scenarios.
@@ -18,19 +20,18 @@ This module exploits that:
   completed, wall seconds, serial-time estimate and the implied
   speedup) so long campaign runs are observable.
 
-Pool failures (spawn errors, broken pools, unpicklable payloads) fall
-back to in-process serial execution instead of aborting the campaign.
-
-For hostile workloads (fault campaigns can hang or crash a scenario),
-:meth:`Executor.map_robust` adds per-unit timeouts, bounded retries with
-exponential backoff and structured :class:`ScenarioFailure` records: a
-broken scenario costs one slot in the result list, never the campaign.
-It schedules one killable ``multiprocessing.Process`` per attempt
-(``ProcessPoolExecutor`` cannot terminate an individual hung worker).
+Every unit gets the executor's per-attempt ``timeout``, bounded
+``retries`` with exponential backoff, and a structured
+:class:`ScenarioFailure` record once its attempts are exhausted:
+:meth:`Executor.map_robust` returns the record in the unit's slot, and
+:meth:`Executor.map` raises after every other unit has settled.  Units
+that do not pickle, or that meet a host where processes cannot be
+spawned, run in-process instead (hangs then cannot be interrupted).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -44,8 +45,6 @@ import tempfile
 import threading
 import time
 import traceback as traceback_module
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -79,11 +78,6 @@ WorkUnit = Tuple[ScenarioConfig, int]
 #: runner routed through Network.run (interval NBTI accounting +
 #: quiescence fast-forward); results for tied-Vth scenarios changed.
 CACHE_SCHEMA_VERSION = 4
-
-#: Pool-infrastructure failures that trigger the serial fallback.  An
-#: exception raised by the scenario itself (bad config, simulator bug)
-#: is *not* in this set and propagates to the caller unchanged.
-_POOL_FAILURES = (OSError, BrokenProcessPool, pickle.PicklingError, ImportError)
 
 
 def _execute_unit(unit: WorkUnit) -> ScenarioResult:
@@ -122,52 +116,65 @@ class RetryBackoff:
         return value
 
 
-def _ignore_sigint() -> None:
-    """Workers leave SIGINT to the parent: a Ctrl-C hits the whole
-    process group, and graceful drain needs in-flight units to finish
-    rather than die mid-scenario."""
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):
-        pass
+def _error_outcome(exc: BaseException) -> tuple:
+    """The ``("error", ...)`` outcome of a failed attempt.
 
-
-def _pool_worker_init(log_level: Optional[int]) -> None:
-    """Pool-worker initializer: mirror the parent's CLI verbosity.
-
-    Module-level so the spawn start method can pickle it by name.
+    Carries a pickled-and-rebuilt copy of the exception (``None`` if it
+    does not survive that, as a child's outcome must): a copy holds no
+    frames, so failure records do not keep a dead scenario's locals.
     """
-    _ignore_sigint()
-    setup_worker_logging(log_level)
+    try:
+        copy: Optional[BaseException] = pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - e.g. exceptions with required kwargs
+        copy = None
+    return ("error", type(exc).__name__, str(exc), traceback_module.format_exc(), copy)
 
 
 def _robust_child(
     worker: Callable,
-    unit: WorkUnit,
     conn,
     log_level: Optional[int] = None,
     budget: Optional[ResourceBudget] = None,
+    parent_end=None,
 ) -> None:
-    """Entry point of one killable per-attempt worker process."""
-    _ignore_sigint()
+    """Entry point of one killable worker process: runs each unit the
+    parent sends and answers with its outcome, until it gets ``None``.
+
+    ``parent_end`` is the parent's side of the pipe, closed here so a
+    forked child sees end-of-file, and exits, if the parent dies.
+    """
+    if parent_end is not None:
+        parent_end.close()
+    # SIGINT is the parent's: a Ctrl-C hits the whole process group, and
+    # a graceful drain lets in-flight units finish.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     setup_worker_logging(log_level)
     try:
-        if budget is not None:
-            # Kernel-enforced CPU/address-space fences: a runaway
-            # scenario dies by SIGXCPU/MemoryError instead of starving
-            # its siblings.  The parent's deadline covers wall time.
-            budget.install()
-        result = worker(unit)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
-        try:
-            conn.send(
-                ("error", type(exc).__name__, str(exc), traceback_module.format_exc())
-            )
-        except BaseException:
-            pass
+        for unit in iter(conn.recv, None):
+            try:
+                if budget is not None:
+                    # Kernel-enforced CPU/address-space fences (a governed
+                    # process runs one attempt): a runaway scenario dies by
+                    # SIGXCPU/MemoryError instead of starving its siblings;
+                    # the parent's deadline covers wall time.
+                    budget.install()
+                conn.send(("ok", worker(unit)))
+            except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
+                conn.send(_error_outcome(exc))
+    except (EOFError, OSError):
+        pass  # the parent is gone
     finally:
         conn.close()
+
+
+class _RemoteTraceback(Exception):
+    """The failed attempt's formatted traceback, chained as the
+    ``__cause__`` of the exception :meth:`Executor.map` re-raises (as
+    :mod:`concurrent.futures` does), so the error output still shows
+    where the unit failed, in whichever process ran it."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
 
 
 @dataclasses.dataclass
@@ -199,6 +206,12 @@ class ScenarioFailure:
     #: Governor cost report (predicted vs budget vs actual) for budget
     #: breaches; ``None`` for ungoverned or plain-crash failures.
     budget: Optional[Dict[str, object]] = None
+    #: A frame-free copy of the exception the last attempt raised, when
+    #: it survives pickling (what :meth:`Executor.map` re-raises); never
+    #: persisted.
+    exception: Optional[BaseException] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind == "crash":
@@ -356,8 +369,8 @@ class ExecutorStats:
     wall_seconds: float = 0.0
     #: Sum of per-unit build+sim time — what a serial run would cost.
     serial_seconds: float = 0.0
-    #: map_robust accounting: units that exhausted their attempts,
-    #: individual retry launches, per-attempt timeouts fired.
+    #: Units that exhausted their attempts, individual retry launches,
+    #: per-attempt timeouts fired.
     failures: int = 0
     retries: int = 0
     timeouts: int = 0
@@ -394,13 +407,22 @@ class ExecutorStats:
 
 
 class Executor:
-    """Maps work units to scenario results, serially or on a process pool.
+    """Maps work units to scenario results through one dispatch loop.
+
+    Where an attempt runs follows from the settings: on leased remote
+    workers when ``distributed`` is set; otherwise in a killable worker
+    process (at most ``max_workers`` live) when ``max_workers > 1``, a
+    ``timeout`` or a ``governor`` needs one; otherwise in-process.  A
+    worker process that returned a result takes the next unit; one that
+    failed, hung or died is replaced, and under a governor every attempt
+    gets a fresh process.
 
     Parameters
     ----------
     max_workers:
-        Worker processes.  ``None``/``0`` auto-detects (``os.cpu_count``);
-        ``1`` selects the in-process serial backend.
+        Concurrent worker processes.  ``None``/``0`` auto-detects
+        (``os.cpu_count``); ``1`` runs units in-process unless a
+        ``timeout`` or ``governor`` needs killable processes.
     cache:
         Optional :class:`ResultCache` (or a path, which constructs one).
         Hits skip simulation entirely; fresh results are stored back.
@@ -408,26 +430,20 @@ class Executor:
         Optional callable receiving one human-readable line per
         completed scenario (``[3/12] 4core-inj0.10 policy=... 0.42s``).
     timeout:
-        ``map_robust`` only: per-attempt wall-clock limit in seconds.
-        A hung attempt is terminated (its process killed) and counted;
-        ``None`` disables the limit.
+        Per-attempt wall-clock limit in seconds.  A hung attempt is
+        terminated (its process killed) and counted; ``None`` disables
+        the limit.
     retries:
-        ``map_robust`` only: extra attempts after a crash or timeout
-        (total attempts = ``retries + 1``).
-    retry_backoff:
-        ``map_robust`` only: base delay before retry ``k`` is
-        ``retry_backoff * 2**(k-1)`` seconds (exponential backoff),
-        stretched by up to ``retry_jitter`` (see :class:`RetryBackoff`).
-    retry_jitter:
-        Jitter fraction applied to every retry delay (``0`` disables;
-        default ``0.5`` — delays spread over [d, 1.5d]) so simultaneous
-        retries don't thundering-herd a recovering worker pool.
-    retry_seed:
-        Seed of the jitter stream.  ``None`` (default) randomizes per
-        executor; a fixed seed makes the delay sequence reproducible.
+        Extra attempts after a crash or timeout (total attempts =
+        ``retries + 1``).
+    retry_backoff, retry_jitter, retry_seed:
+        Retry ``k`` waits ``retry_backoff * 2**(k-1)`` seconds stretched
+        by up to the ``retry_jitter`` fraction (``0`` disables; default
+        ``0.5``), drawn from a stream seeded by ``retry_seed`` (``None``
+        randomizes per executor); see :class:`RetryBackoff`.
     worker:
-        ``map_robust`` only: the unit-executing callable (picklable by
-        name); tests substitute hanging/crashing workers.
+        The unit-executing callable (picklable by name); tests
+        substitute hanging/crashing workers.
     profile:
         Collect per-scenario timing distributions (build / sim / wall
         seconds) into :attr:`metrics`; the summary line then reports
@@ -435,7 +451,7 @@ class Executor:
     log_level:
         Logging level to install in worker processes (defaults to the
         effective level of the ``repro`` logger at construction, so
-        ``-v``/``-q`` verbosity propagates through pools).
+        ``-v``/``-q`` verbosity propagates into worker processes).
     checkpoint:
         Optional :class:`~repro.experiments.checkpoint.CheckpointManager`.
         Every completed unit is journaled (write-ahead, fsync'd) the
@@ -443,39 +459,34 @@ class Executor:
         from it without re-running — the resume path.
     distributed:
         Optional
-        :class:`~repro.experiments.distributed.protocol.DistributedSpec`.
-        When set, pending units are served to ``repro-noc worker``
-        processes over HTTP leases by an embedded coordinator instead
-        of running locally (see :mod:`repro.experiments.distributed`);
-        results are committed idempotently through ``checkpoint`` the
-        moment they arrive, so worker crashes, partitions and
-        coordinator kills compose with ``--resume``.  Call
-        :meth:`close` when done (stops the coordinator and any local
-        workers it spawned).
+        :class:`~repro.experiments.distributed.protocol.DistributedSpec`:
+        an embedded coordinator leases pending units to ``repro-noc
+        worker`` processes over HTTP (:mod:`repro.experiments.distributed`)
+        and commits results through ``checkpoint`` as they arrive, so
+        worker crashes, partitions and coordinator kills compose with
+        ``--resume``.  Call :meth:`close` when done.
     governor:
         Optional :class:`~repro.experiments.governor.ScenarioGovernor`
         (or a :class:`~repro.experiments.governor.GovernorSpec`, which
-        constructs one).  Every robust attempt then runs under a
-        per-scenario :class:`~repro.experiments.governor.ResourceBudget`
-        (wall deadline in the parent, ``RLIMIT_CPU``/``RLIMIT_AS`` in
-        the child); budget breaches become typed failures and repeat
-        offenders are quarantined instead of retried.  :meth:`map`
-        routes through the robust backend and raises
-        :class:`~repro.experiments.governor.BudgetExceeded` *after* all
-        other units completed (and were journaled), so ``--resume``
-        re-runs only the offenders.
+        constructs one).  Every attempt then runs in a fresh killable
+        process under a per-scenario
+        :class:`~repro.experiments.governor.ResourceBudget` (wall
+        deadline in the parent, ``RLIMIT_CPU``/``RLIMIT_AS`` in the
+        child); budget breaches become typed failures and repeat
+        offenders are quarantined instead of retried.  :meth:`map` then
+        raises :class:`~repro.experiments.governor.BudgetExceeded`
+        *after* all other units completed (and were journaled), so
+        ``--resume`` re-runs only the offenders.
 
     Results are returned in work-unit order regardless of completion
-    order, and are bit-identical between backends: a unit's outcome is a
-    pure function of ``(ScenarioConfig, iteration)``.
+    order, and are bit-identical whichever source ran them: a unit's
+    outcome is a pure function of ``(ScenarioConfig, iteration)``.
 
-    Graceful shutdown: :meth:`request_drain` (typically wired to
-    SIGINT/SIGTERM by
-    :func:`~repro.experiments.checkpoint.graceful_shutdown`) stops the
-    dispatch of *new* units; in-flight ones finish and are journaled,
-    then the map call raises
-    :class:`~repro.experiments.checkpoint.CampaignInterrupted` carrying
-    the pending count.
+    Graceful shutdown: :meth:`request_drain` (wired to SIGINT/SIGTERM
+    by :func:`~repro.experiments.checkpoint.graceful_shutdown`) stops
+    new dispatches; in-flight units finish and are journaled, then the
+    map call raises
+    :class:`~repro.experiments.checkpoint.CampaignInterrupted`.
     """
 
     def __init__(
@@ -529,7 +540,7 @@ class Executor:
         self._server = None
         self._distributed_summary: Optional[str] = None
         self._commit_lock = threading.Lock()
-        #: Every ScenarioFailure produced by map_robust, campaign-wide
+        #: Every ScenarioFailure produced by map/map_robust, campaign-wide
         #: (what campaign.state.json surfaces as the failed-unit list).
         self.failure_records: List[ScenarioFailure] = []
         self._drain = threading.Event()
@@ -543,63 +554,37 @@ class Executor:
         journaled, then the running map raises ``CampaignInterrupted``."""
         self._drain.set()
 
-    @property
-    def draining(self) -> bool:
-        return self._drain.is_set()
-
     # -- public API ----------------------------------------------------
     def map(self, units: Sequence[WorkUnit]) -> List[ScenarioResult]:
         """Execute every unit and return results in input order.
 
-        With a :attr:`governor`, units run through the robust backend
-        (budgets need killable per-attempt processes); if any unit
-        busts its budget the call raises
-        :class:`~repro.experiments.governor.BudgetExceeded` *after*
-        every other unit completed and was journaled.
+        Runs :meth:`map_robust`, then raises if any unit failed — only
+        after every other unit completed and was journaled, so a resume
+        re-runs just the failures.  Under a governor the raise is
+        :class:`~repro.experiments.governor.BudgetExceeded`; otherwise
+        it is the first failed unit's own exception, chained to the
+        worker-side traceback, or a ``RuntimeError`` naming the failure
+        when that exception did not survive the trip back.
         """
-        if self.governor is not None:
-            outcome = self.map_robust(units)
-            failures = [r for r in outcome if isinstance(r, ScenarioFailure)]
-            if failures:
-                raise BudgetExceeded(failures)
+        outcome = self.map_robust(units)
+        failures = [r for r in outcome if isinstance(r, ScenarioFailure)]
+        if not failures:
             return outcome  # type: ignore[return-value]  # no failures
-        units = list(units)
-        started = time.perf_counter()
-        self.stats.units_total += len(units)
-        results: List[Optional[ScenarioResult]] = [None] * len(units)
-
-        pending: List[int] = []
-        for index in range(len(units)):
-            known = self._lookup(units[index])
-            if known is not None:
-                results[index] = known
-                self._report(index, units[index], known, cached=True)
-            else:
-                pending.append(index)
-        self._sync_cache_corruption()
-
-        if pending:
-            if self.distributed is not None:
-                self._map_distributed(units, pending, results, robust=False)
-            elif self.max_workers > 1 and len(pending) > 1:
-                self._map_pool(units, pending, results)
-            else:
-                self._map_serial(units, pending, results)
-
-        self.stats.units_completed += len(units)
-        self.stats.wall_seconds += time.perf_counter() - started
-        return results  # type: ignore[return-value]  # every slot is filled
+        if self.governor is not None:
+            raise BudgetExceeded(failures)
+        failure = failures[0]
+        if failure.exception is None:
+            raise RuntimeError(str(failure))
+        raise failure.exception from _RemoteTraceback(failure.traceback)
 
     def map_robust(
         self, units: Sequence[WorkUnit]
     ) -> List[Union[ScenarioResult, ScenarioFailure]]:
         """Execute every unit, surviving crashes and hangs.
 
-        Like :meth:`map`, but each unit runs in its own killable
-        process with the executor's ``timeout``/``retries`` budget; a
+        Each unit gets the executor's ``timeout``/``retries`` budget; a
         unit that exhausts its attempts yields a :class:`ScenarioFailure`
-        in its slot instead of aborting the campaign.  Successful
-        results are bit-identical to :meth:`map` (same pure worker).
+        in its slot instead of aborting the campaign.
         """
         units = list(units)
         started = time.perf_counter()
@@ -607,33 +592,20 @@ class Executor:
         results: List[Optional[Union[ScenarioResult, ScenarioFailure]]] = [None] * len(units)
 
         pending: List[int] = []
-        for index in range(len(units)):
-            known = self._lookup(units[index])
+        for index, unit in enumerate(units):
+            known = self._lookup(unit)
             if known is not None:
                 results[index] = known
-                self._report(index, units[index], known, cached=True)
+                self._report(index, unit, known, cached=True)
             else:
                 pending.append(index)
         self._sync_cache_corruption()
 
         if pending:
             if self.distributed is not None:
-                self._map_distributed(units, pending, results, robust=True)
-                self.stats.units_completed += len(units)
-                self.stats.wall_seconds += time.perf_counter() - started
-                return results  # type: ignore[return-value]
-            try:
-                self._map_robust_processes(units, pending, results)
-            except _POOL_FAILURES:
-                # No subprocesses available at all (sandbox): degrade to
-                # in-process execution — crashes still become failure
-                # records, but hangs cannot be interrupted.
-                self.stats.fallbacks += 1
-                self._report_line(
-                    "process spawning unavailable; running robust map in-process "
-                    "(timeouts not enforceable)"
-                )
-                self._map_robust_serial(units, pending, results)
+                self._map_distributed(units, pending, results)
+            else:
+                self._map_local(units, pending, results)
 
         self.stats.units_completed += len(units)
         self.stats.wall_seconds += time.perf_counter() - started
@@ -677,191 +649,133 @@ class Executor:
                 return hit
         return None
 
-    def _check_drain(self, pending: Sequence[int], results: Sequence[object]) -> None:
-        """Raise ``CampaignInterrupted`` when draining with work left."""
-        if not self._drain.is_set():
-            return
-        remaining = sum(1 for index in pending if results[index] is None)
-        if remaining:
-            raise CampaignInterrupted(remaining)
-
-    # -- backends ------------------------------------------------------
-    def _map_serial(
-        self,
-        units: Sequence[WorkUnit],
-        pending: Sequence[int],
-        results: List[Optional[ScenarioResult]],
-    ) -> None:
-        for index in pending:
-            if results[index] is not None:
-                continue
-            self._check_drain(pending, results)
-            result = _execute_unit(units[index])
-            self._finish(index, units[index], result, results)
-
-    def _map_pool(
-        self,
-        units: Sequence[WorkUnit],
-        pending: Sequence[int],
-        results: List[Optional[ScenarioResult]],
-    ) -> None:
-        try:
-            # Unpicklable payloads (e.g. ad-hoc ScenarioConfig subclasses)
-            # would otherwise poison the pool's feeder thread.
-            pickle.dumps(tuple(units[i] for i in pending))
-        except (pickle.PicklingError, AttributeError, TypeError):
-            self.stats.fallbacks += 1
-            self._report_line("work units not picklable; falling back to serial execution")
-            self._map_serial(units, pending, results)
-            return
-        try:
-            workers = min(self.max_workers, len(pending))
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pool_worker_init,
-                initargs=(self.log_level,),
-            ) as pool:
-                # Sliding-window dispatch: at most ``workers`` units are
-                # outstanding, so a drain request only has to wait for
-                # genuinely in-flight scenarios, not a deep submit queue.
-                todo = [i for i in pending if results[i] is None]
-                cursor = 0
-                futures: dict = {}
-                while futures or cursor < len(todo):
-                    while (
-                        cursor < len(todo)
-                        and len(futures) < workers
-                        and not self._drain.is_set()
-                    ):
-                        index = todo[cursor]
-                        cursor += 1
-                        futures[pool.submit(_execute_unit, units[index])] = index
-                    if not futures:
-                        break  # draining with nothing in flight
-                    done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = futures.pop(future)
-                        self._finish(index, units[index], future.result(), results)
-                self._check_drain(pending, results)
-        except _POOL_FAILURES:
-            # Pool infrastructure failed (sandboxed spawn, dead worker,
-            # unpicklable payload): finish the remaining units in-process.
-            self.stats.fallbacks += 1
-            self._report_line("process pool unavailable; falling back to serial execution")
-            self._map_serial(units, pending, results)
-
-    # -- robust backend ------------------------------------------------
-    def _map_robust_serial(
+    # -- local scheduler -----------------------------------------------
+    def _map_local(
         self,
         units: Sequence[WorkUnit],
         pending: Sequence[int],
         results: List[Optional[Union[ScenarioResult, ScenarioFailure]]],
     ) -> None:
-        """In-process robust execution: retries yes, timeouts no."""
-        for index in pending:
-            if results[index] is not None:
-                continue
-            self._check_drain(pending, results)
-            unit = units[index]
-            unit_started = time.perf_counter()
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    result = self.worker(unit)
-                except Exception as exc:  # noqa: BLE001 - becomes a record
-                    kind = classify_failure_kind(type(exc).__name__)
-                    quarantined, budget_info = self._note_breach(
-                        unit, kind, time.perf_counter() - unit_started
-                    )
-                    if not quarantined and attempt <= self.retries:
-                        self.stats.retries += 1
-                        backoff = self._backoff.delay(attempt)
-                        if backoff > 0:
-                            time.sleep(backoff)
-                        continue
-                    self._fail(
-                        index,
-                        ScenarioFailure(
-                            scenario=unit[0],
-                            iteration=unit[1],
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            attempts=attempt,
-                            timed_out=False,
-                            wall_seconds=time.perf_counter() - unit_started,
-                            traceback=traceback_module.format_exc(),
-                            kind=kind,
-                            quarantined=quarantined,
-                            budget=budget_info,
-                        ),
-                        results,
-                    )
-                    break
-                else:
-                    self._finish(index, unit, result, results)
-                    break
+        """Run pending units in-process or in killable worker processes.
 
-    def _map_robust_processes(
-        self,
-        units: Sequence[WorkUnit],
-        pending: Sequence[int],
-        results: List[Optional[Union[ScenarioResult, ScenarioFailure]]],
-    ) -> None:
-        """One killable process per attempt, at most ``max_workers`` live.
-
-        The scheduler multiplexes three event sources: result pipes
-        becoming readable, per-attempt deadlines expiring, and backoff
-        delays elapsing for queued retries.
+        A launch either hands the attempt to a worker process (at most
+        ``max_workers`` live) or runs it synchronously; every outcome
+        goes through one settle path, so retries, backoff, quarantine
+        and drain behave alike for both.  The loop waits on result
+        pipes, per-attempt deadlines and retry backoff delays.
         """
         ctx = multiprocessing.get_context()
-        # (unit index, attempt number, earliest monotonic start time)
-        queue: List[Tuple[int, int, float]] = [(i, 1, 0.0) for i in pending]
-        running: dict = {}  # receiving pipe end -> task record
+        # Units that run in-process: all of them unless a worker count,
+        # a timeout or a governor needs killable processes; then only
+        # those that do not pickle (and, after a failed spawn, the rest).
+        inline = set(pending)
+        if self.max_workers > 1 or self.timeout is not None or self.governor is not None:
+            inline = set()
+            for i in pending:
+                try:
+                    pickle.dumps(units[i])
+                except (pickle.PicklingError, AttributeError, TypeError):
+                    inline.add(i)
+            if inline:
+                self.stats.fallbacks += 1
+                self._report_line("work units not picklable; running them in-process")
+        # (unit index, attempt number, earliest monotonic start time);
+        # in-process units first, so they run before any launch.
+        queue: List[Tuple[int, int, float]] = [
+            (i, 1, 0.0) for i in sorted(pending, key=lambda i: i not in inline)
+        ]
+        # pipe end -> (unit index, attempt, process, deadline or None)
+        running: Dict[object, tuple] = {}
         unit_started = {i: time.perf_counter() for i in pending}
         # Per-unit resource budget and effective wall limit (the tighter
         # of the budget's wall cap and the executor timeout).  Without a
-        # governor these degrade to (None, self.timeout) — the
-        # historical behaviour, byte for byte.
-        budgets: Dict[int, Optional[ResourceBudget]] = {}
-        wall_limits: Dict[int, Optional[float]] = {}
-        for i in pending:
-            if self.governor is not None:
-                budget = self.governor.budget_for(units[i][0])
-                budgets[i] = budget
-                wall_limits[i] = budget.deadline(self.timeout)
+        # governor these degrade to (None, self.timeout).
+        budgets: Dict[int, Optional[ResourceBudget]] = {
+            i: None if self.governor is None else self.governor.budget_for(units[i][0])
+            for i in pending
+        }
+        wall_limits: Dict[int, Optional[float]] = {
+            i: self.timeout if budgets[i] is None else budgets[i].deadline(self.timeout)
+            for i in pending
+        }
+
+        # Worker processes that finished a unit cleanly wait here for the
+        # next, so only a slot's first unit pays for process start-up.
+        # Governed attempts get a fresh process each: rlimits are per
+        # process, and RLIMIT_CPU counts every unit it ever ran.
+        idle: List[tuple] = []  # (pipe end, process)
+        reuse = self.governor is None
+
+        def spawn(index: int) -> Optional[tuple]:
+            """A worker process for ``index``; ``None`` if none can start."""
+            while idle:
+                conn, proc = idle.pop()
+                if proc.is_alive():
+                    return conn, proc
+                retire(conn, proc)
+            ends: tuple = ()
+            try:
+                ends = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_robust_child,
+                    args=(
+                        self.worker, ends[1], self.log_level, budgets[index], ends[0],
+                    ),
+                    daemon=True,
+                )
+                proc.start()
+            except (OSError, ImportError):
+                # No subprocesses at all (sandbox): the remaining units
+                # run in-process — crashes still become failure records,
+                # but hangs cannot be interrupted.
+                for end in ends:
+                    end.close()
+                inline.update(pending)
+                self.stats.fallbacks += 1
+                self._report_line(
+                    "process spawning unavailable; running the remaining "
+                    "units in-process (timeouts not enforceable)"
+                )
+                return None
+            ends[1].close()
+            return ends[0], proc
+
+        def retire(conn, proc, kill: bool = False) -> None:
+            if kill:
+                proc.terminate()
             else:
-                budgets[i] = None
-                wall_limits[i] = self.timeout
+                with contextlib.suppress(OSError):  # already dead
+                    conn.send(None)
+            proc.join()
+            conn.close()
 
         def launch(index: int, attempt: int) -> None:
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_robust_child,
-                args=(
-                    self.worker, units[index], send_end, self.log_level,
-                    budgets[index],
-                ),
-                daemon=True,
-            )
-            proc.start()
-            send_end.close()
-            running[recv_end] = {
-                "index": index,
-                "attempt": attempt,
-                "proc": proc,
-                "deadline": (
-                    None if wall_limits[index] is None
-                    else time.monotonic() + wall_limits[index]
-                ),
-            }
+            worker = None if index in inline else spawn(index)
+            if worker is not None:
+                conn, proc = worker
+                try:
+                    conn.send(units[index])
+                except OSError:
+                    pass  # died since: reaped below as a dead worker
+                limit = wall_limits[index]
+                deadline = None if limit is None else time.monotonic() + limit
+                running[conn] = (index, attempt, proc, deadline)
+                return
+            try:
+                outcome = ("ok", self.worker(units[index]))
+            except Exception as exc:  # noqa: BLE001 - becomes a record
+                outcome = _error_outcome(exc)
+            settle(index, attempt, outcome)
 
-        def retry_or_fail(index: int, attempt: int, error_type: str,
-                          message: str, timed_out: bool,
-                          traceback: Optional[str] = None,
-                          kind: Optional[str] = None) -> None:
-            if kind is None:
-                kind = classify_failure_kind(error_type, timed_out=timed_out)
+        def settle(index: int, attempt: int, outcome: tuple,
+                   timed_out: bool = False,
+                   exitcode: Optional[int] = None) -> None:
+            """Fold one attempt's outcome in: finish, retry or fail."""
+            if outcome[0] == "ok":
+                self._finish(index, units[index], outcome[1], results)
+                return
+            _, error_type, message, traceback, exception = outcome
+            kind = classify_failure_kind(error_type, timed_out=timed_out, exitcode=exitcode)
             quarantined, budget_info = self._note_breach(
                 units[index], kind, time.perf_counter() - unit_started[index]
             )
@@ -887,49 +801,38 @@ class Executor:
                     kind=kind,
                     quarantined=quarantined,
                     budget=budget_info,
+                    exception=exception,
                 ),
                 results,
             )
 
-        def reap(conn, task, timed_out: bool) -> None:
-            proc = task["proc"]
-            message = None
-            if timed_out:
-                proc.terminate()
-            else:
+        def reap(conn, timed_out: bool) -> None:
+            index, attempt, proc, _ = running.pop(conn)
+            outcome = None
+            if not timed_out:
                 try:
                     if conn.poll():
-                        message = conn.recv()
+                        outcome = conn.recv()
                 except (EOFError, OSError):
-                    message = None
-            proc.join()
-            conn.close()
-            index, attempt = task["index"], task["attempt"]
+                    outcome = None
+            if reuse and outcome is not None and outcome[0] == "ok":
+                idle.append((conn, proc))
+            else:
+                # Timed out, died, or failed: a process in an unknown
+                # state is not handed another unit.
+                retire(conn, proc, kill=timed_out)
             if timed_out:
                 self.stats.timeouts += 1
-                retry_or_fail(
-                    index, attempt, "Timeout",
-                    f"attempt exceeded {wall_limits[index]}s", timed_out=True,
-                )
-            elif message is not None and message[0] == "ok":
-                self._finish(index, units[index], message[1], results)
-            elif message is not None and message[0] == "error":
-                retry_or_fail(
-                    index, attempt, message[1], message[2], timed_out=False,
-                    traceback=message[3] if len(message) > 3 else None,
-                )
-            else:
+                outcome = ("error", "Timeout", f"attempt exceeded {wall_limits[index]}s",
+                           None, None)
+            elif outcome is None:
                 # No result made it up the pipe: the kernel killed the
                 # worker.  The exit signal tells us why — SIGXCPU is
                 # the CPU budget, SIGKILL is the OOM killer's (and the
                 # RLIMIT_CPU hard cap's) signature.
-                retry_or_fail(
-                    index, attempt, "WorkerDied",
-                    f"worker exited with code {proc.exitcode}", timed_out=False,
-                    kind=classify_failure_kind(
-                        "WorkerDied", exitcode=proc.exitcode
-                    ),
-                )
+                outcome = ("error", "WorkerDied", f"worker exited with code {proc.exitcode}",
+                           None, None)
+            settle(index, attempt, outcome, timed_out=timed_out, exitcode=proc.exitcode)
 
         try:
             # Draining stops new launches; the loop then only reaps what
@@ -947,11 +850,13 @@ class Executor:
                     index, attempt, _ = queue.pop(due)
                     launch(index, attempt)
 
-                # Sleep until the next event could possibly happen.
-                horizons = [
-                    t["deadline"] for t in running.values() if t["deadline"] is not None
-                ]
-                horizons.extend(item[2] for item in queue)
+                # Sleep until the next event could possibly happen.  A
+                # queued attempt is one only while a slot is free to
+                # launch it; counting it otherwise (it is already due)
+                # would make the wait below return at once and spin.
+                horizons = [t[3] for t in running.values() if t[3] is not None]
+                if len(running) < self.max_workers and not self._drain.is_set():
+                    horizons.extend(item[2] for item in queue)
                 wait_for = (
                     None if not horizons
                     else max(0.0, min(horizons) - time.monotonic())
@@ -960,21 +865,20 @@ class Executor:
                     ready = connection_wait(list(running), timeout=wait_for)
                     now = time.monotonic()
                     for conn in ready:
-                        reap(conn, running.pop(conn), timed_out=False)
+                        reap(conn, timed_out=False)
                     for conn in [
-                        c for c, t in running.items()
-                        if t["deadline"] is not None and now >= t["deadline"]
+                        c for c, t in running.items() if t[3] is not None and now >= t[3]
                     ]:
-                        reap(conn, running.pop(conn), timed_out=True)
+                        reap(conn, timed_out=True)
                 elif wait_for:
                     time.sleep(wait_for)
             if self._drain.is_set() and queue:
                 raise CampaignInterrupted(len(queue))
         finally:
-            for conn, task in running.items():
-                task["proc"].terminate()
-                task["proc"].join()
-                conn.close()
+            for conn, (_, _, proc, _) in running.items():
+                retire(conn, proc, kill=True)
+            for conn, proc in idle:
+                retire(conn, proc)
 
     # -- distributed backend -------------------------------------------
     def _ensure_server(self):
@@ -1018,7 +922,6 @@ class Executor:
         units: Sequence[WorkUnit],
         pending: Sequence[int],
         results: List[Optional[Union[ScenarioResult, ScenarioFailure]]],
-        robust: bool,
     ) -> None:
         """Serve pending units to remote workers via the lease coordinator.
 
@@ -1083,12 +986,7 @@ class Executor:
                         ),
                         quarantined=kind == "poisoned",
                     )
-                    if robust:
-                        self._fail(index, failure, results)
-                    else:
-                        raise RuntimeError(
-                            f"scenario quarantined by the coordinator: {failure}"
-                        )
+                    self._fail(index, failure, results)
         if outstanding:
             raise CampaignInterrupted(len(outstanding))
 
@@ -1130,7 +1028,8 @@ class Executor:
         results[index] = failure
         self.stats.failures += 1
         self.failure_records.append(failure)
-        self._report_line(f"[{index + 1}/{self.stats.units_total}] FAILED {failure}")
+        if self.progress is not None:
+            self._report_line(f"[{index + 1}/{self.stats.units_total}] FAILED {failure}")
 
     def _sync_cache_corruption(self) -> None:
         if self.cache is None or self.cache.corrupt_entries <= self.stats.cache_corrupt:

@@ -4,7 +4,7 @@ A :class:`TelemetryConfig` rides on
 :class:`~repro.experiments.config.ScenarioConfig` (its ``telemetry``
 field, ``None`` = off): one flag turns any existing run into a traced
 run.  It is a frozen, hashable, ``dataclasses.asdict``-friendly value
-object so scenario cache keys and process-pool pickling keep working
+object so scenario cache keys and worker-process pickling keep working
 unchanged.
 """
 

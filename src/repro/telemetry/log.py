@@ -14,7 +14,7 @@ redirection set up after import — is honoured.
 
 Worker processes spawned by :mod:`repro.experiments.parallel` call
 :func:`setup_worker_logging` with the parent's effective level, so
-``-v`` verbosity propagates across the process pool.
+``-v`` verbosity propagates into worker processes.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def setup_cli_logging(verbosity: int = 0) -> int:
 
 
 def setup_worker_logging(level: Optional[int]) -> None:
-    """Adopt the parent process's log level inside a pool worker."""
+    """Adopt the parent process's log level inside a worker process."""
     if level is None:
         return
     root = logging.getLogger(ROOT_LOGGER_NAME)

@@ -11,7 +11,7 @@ creates when ``ScenarioConfig.telemetry`` is set:
   :class:`~repro.faults.injector.FaultInjector`'s hooks,
 * :meth:`span` times runner phases into the host-profiling track, and
 * :meth:`finalize` closes the sinks and distills a picklable
-  :class:`TelemetrySummary` that travels back through process pools.
+  :class:`TelemetrySummary` that travels back from worker processes.
 
 Instrumentation is handle-based: each component gets ``trace`` (the
 tracer) and ``trace_id`` (its track) attributes that default to

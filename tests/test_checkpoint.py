@@ -354,7 +354,7 @@ def _crashing_worker(unit):
 class TestFailureRecords:
     def test_traceback_survives_process_boundary(self):
         units = tiny_units(1)
-        executor = Executor(max_workers=1, worker=_crashing_worker)
+        executor = Executor(max_workers=2, worker=_crashing_worker)
         (outcome,) = executor.map_robust(units)
         assert isinstance(outcome, ScenarioFailure)
         assert outcome.error_type == "ValueError"

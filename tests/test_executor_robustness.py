@@ -51,9 +51,18 @@ def _crash_worker(unit):
     raise RuntimeError("boom")
 
 
+def _lookup_worker(unit):
+    return {}["missing-table"]
+
+
 def _hang_worker(unit):
     time.sleep(30)
     return _FakeResult()
+
+
+def _nap_worker(unit):
+    time.sleep(0.4)
+    return _FakeResult(payload=f"seed={unit[0].seed}")
 
 
 def _selective_worker(unit):
@@ -161,6 +170,19 @@ class TestTimeouts:
         assert executor.stats.failures == 0
 
 
+class TestScheduler:
+    def test_parent_sleeps_while_slots_are_full(self):
+        # Queued units already due must not turn the wait for a result
+        # into a busy poll while every slot is taken.
+        units = [_tiny_unit(seed=k) for k in range(3)]
+        executor = Executor(max_workers=1, timeout=30, worker=_nap_worker)
+        wall, cpu = time.perf_counter(), time.process_time()
+        results = executor.map_robust(units)
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        assert [r.payload for r in results] == ["seed=0", "seed=1", "seed=2"]
+        assert cpu < 0.5 * wall
+
+
 class TestRetries:
     def test_crash_exhausts_attempts_with_backoff(self):
         executor = Executor(
@@ -226,6 +248,23 @@ class TestMixedCampaign:
 
 
 class TestRobustVsPlainMap:
+    def test_plain_map_honours_retries_and_worker(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(_SCRATCH_ENV, str(tmp_path / "flaky"))
+        executor = Executor(
+            max_workers=1, retries=1, retry_backoff=0.01, worker=_flaky_worker
+        )
+        (outcome,) = executor.map([_tiny_unit()])
+        assert outcome.payload == "recovered"
+        assert executor.stats.retries == 1
+
+    def test_plain_map_raises_the_units_own_exception(self):
+        executor = Executor(max_workers=2, worker=_lookup_worker)
+        with pytest.raises(KeyError, match="missing-table") as info:
+            executor.map([_tiny_unit()])
+        assert "attempt(s)" not in str(info.value)
+        assert "_lookup_worker" in str(info.value.__cause__)
+        assert executor.stats.failures == 1
+
     def test_real_scenarios_identical_results(self):
         units = [_tiny_unit(seed=1), _tiny_unit(seed=2)]
         plain = Executor(max_workers=1).map(units)

@@ -1,24 +1,30 @@
 """Tests for the parallel execution layer (executors, cache, fallback).
 
 The load-bearing property is bit-identical results: a scenario's
-outcome is a pure function of ``(ScenarioConfig, iteration)``, so the
-process-pool backend, the serial backend and the on-disk cache must all
-return exactly the same measurements.
+outcome is a pure function of ``(ScenarioConfig, iteration)``, so
+in-process runs, per-attempt worker processes and the on-disk cache
+must all return exactly the same measurements.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import multiprocessing.process
+import os
 import pickle
 
 import pytest
 
 import repro.experiments.parallel as parallel
 from repro.experiments.campaign import CampaignConfig, run_campaign
+from repro.experiments.checkpoint import CheckpointManager
 from repro.experiments.config import REAL_TRAFFIC, ScenarioConfig
+from repro.experiments.governor import GovernorSpec
 from repro.experiments.parallel import (
     Executor,
     ResultCache,
+    ScenarioFailure,
     cache_key,
     execute_units,
     make_executor,
@@ -40,6 +46,35 @@ def small_units():
 
 def result_fingerprint(result):
     return (result.duty_cycles, result.md_vc, result.net_stats, result.initial_vths)
+
+
+@dataclasses.dataclass
+class _PidResult:
+    """Minimal stand-in for ScenarioResult recording where it ran."""
+
+    pid: int
+    wall_seconds: float = 0.0
+    sim_seconds: float = 0.0
+
+
+def _pid_worker(unit):
+    return _PidResult(pid=os.getpid())
+
+
+def _pid_or_fail_worker(unit):
+    if unit[0].seed == 666:
+        raise ValueError("cursed seed")
+    return _PidResult(pid=os.getpid())
+
+
+def _oserror_scenario(scenario, iteration=0):
+    raise OSError("scenario's own I/O error")
+
+
+def _cursed_scenario(scenario, iteration=0):
+    if scenario.policy == "rr-no-sensor":
+        raise ValueError("cursed policy")
+    return run_scenario(scenario, iteration)
 
 
 class TestExecutorDeterminism:
@@ -97,8 +132,11 @@ class TestExecutorDeterminism:
 
     def test_scenario_errors_propagate(self):
         good = ScenarioConfig(num_nodes=4, num_vcs=2, **FAST)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError) as info:
             Executor(max_workers=2).map([(good, 0), (None, 0)])
+        # The worker's own frames ride along as the chained cause.
+        cause = str(info.value.__cause__)
+        assert "_execute_unit" in cause and "run_scenario" in cause
 
 
 class TestExecuteUnits:
@@ -158,10 +196,10 @@ class TestResultCache:
 
 class TestFallback:
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
-        def broken_pool(*args, **kwargs):
+        def broken_start(self):
             raise OSError("spawn blocked")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", broken_start)
         units = small_units()
         ex = Executor(max_workers=4)
         results = ex.map(units)
@@ -169,6 +207,28 @@ class TestFallback:
         assert [result_fingerprint(r) for r in results] == [
             result_fingerprint(run_scenario(s, i)) for s, i in units
         ]
+
+    def test_scenario_oserror_is_not_a_spawn_failure(self, monkeypatch):
+        monkeypatch.setattr(parallel, "run_scenario", _oserror_scenario)
+        ex = Executor(max_workers=2)
+        with pytest.raises(OSError, match="own I/O error"):
+            ex.map(small_units()[:2])
+        assert ex.stats.fallbacks == 0
+
+    def test_journal_oserror_is_not_a_spawn_failure(self, tmp_path, monkeypatch):
+        checkpoint = CheckpointManager(tmp_path, meta={})
+
+        def broken_append(key, result):
+            raise OSError("journal disk full")
+
+        monkeypatch.setattr(checkpoint.journal, "append", broken_append)
+        lines = []
+        ex = Executor(max_workers=2, checkpoint=checkpoint, progress=lines.append)
+        with pytest.raises(OSError, match="journal disk full"):
+            ex.map_robust(small_units()[:2])
+        checkpoint.close()
+        assert ex.stats.fallbacks == 0
+        assert not [line for line in lines if "spawning unavailable" in line]
 
     def test_unpicklable_unit_falls_back(self):
         # Classes defined in a test function can't be pickled by name.
@@ -182,6 +242,64 @@ class TestFallback:
         results = ex.map([(scenario, 0), (scenario.with_policy("baseline"), 0)])
         assert ex.stats.fallbacks == 1
         assert len(results) == 2
+
+
+class TestFailingUnit:
+    def test_siblings_are_journaled_before_the_raise(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "run_scenario", _cursed_scenario)
+        units = small_units()  # baseline, rr-no-sensor, sensor-wise
+        checkpoint = CheckpointManager(tmp_path, meta={})
+        with pytest.raises(ValueError, match="cursed policy"):
+            Executor(max_workers=2, checkpoint=checkpoint).map(units)
+        assert checkpoint.completed() == 2
+        for scenario, iteration in (units[0], units[2]):
+            journaled = checkpoint.lookup(cache_key(scenario, iteration))
+            assert result_fingerprint(journaled) == result_fingerprint(
+                run_scenario(scenario, iteration)
+            )
+        checkpoint.close()
+
+
+class TestWorkerSource:
+    @pytest.mark.parametrize(
+        "settings, in_process",
+        [
+            (dict(max_workers=1), True),
+            (dict(max_workers=2), False),
+            (dict(max_workers=1, timeout=5), False),
+            (dict(max_workers=1, governor=GovernorSpec()), False),
+        ],
+        ids=["serial", "workers", "timeout", "governor"],
+    )
+    def test_units_run_in_process_only_when_nothing_needs_a_process(
+        self, settings, in_process
+    ):
+        (result,) = Executor(worker=_pid_worker, **settings).map(small_units()[:1])
+        assert (result.pid == os.getpid()) is in_process
+
+    @pytest.mark.parametrize(
+        "settings, processes",
+        [
+            (dict(max_workers=1, timeout=30), 1),
+            (dict(max_workers=1, governor=GovernorSpec()), 3),
+        ],
+        ids=["reused", "governed"],
+    )
+    def test_worker_processes_are_reused_unless_governed(self, settings, processes):
+        results = Executor(worker=_pid_worker, **settings).map(small_units())
+        assert len({result.pid for result in results}) == processes
+        assert os.getpid() not in {result.pid for result in results}
+
+    def test_a_failed_worker_process_is_replaced(self):
+        units = [
+            (dataclasses.replace(scenario, seed=seed), 0)
+            for scenario, _ in small_units()[:1]
+            for seed in (1, 666, 2)
+        ]
+        executor = Executor(max_workers=1, timeout=30, worker=_pid_or_fail_worker)
+        outcome = executor.map_robust(units)
+        assert isinstance(outcome[1], ScenarioFailure)
+        assert outcome[0].pid != outcome[2].pid
 
 
 class TestProgressAndStats:
