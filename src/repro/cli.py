@@ -92,7 +92,8 @@ def _add_exec_args(
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="on-disk scenario result cache (reruns skip computed scenarios)",
+        help="result-cache directory: a scenario journal shared across "
+        "campaigns (reruns skip computed scenarios)",
     )
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -202,7 +203,7 @@ def _make_governor(args: argparse.Namespace):
 
 
 def _close_executor(executor) -> None:
-    """Stop an executor's embedded coordinator/workers (idempotent)."""
+    """Stop an executor's coordinator/workers and close its cache (idempotent)."""
     if executor is not None:
         executor.close()
 
@@ -502,16 +503,17 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = pcache.add_subparsers(dest="cache_command", required=True)
     pverify = cache_sub.add_parser(
         "verify",
-        help="scan every cache entry (and orphaned temp files) and report rot",
+        help="scan every scenario journal (header, per-record CRC, torn "
+        "tail) and report rot",
     )
     pverify.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="cache directory to scan",
+        help="result-cache directory to scan (its *.jsonl journals)",
     )
     pverify.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="also verify this checkpoint directory's scenario journal "
-        "(header digest, per-record CRC, torn tail)",
+        "and DSE state",
     )
 
     pdse = sub.add_parser(
@@ -973,27 +975,27 @@ def _dispatch(args: argparse.Namespace) -> int:
             if args.cache_dir is None and args.checkpoint_dir is None:
                 log.error("cache verify needs --cache-dir and/or --checkpoint-dir")
                 return 2
-            clean = True
+            from pathlib import Path
+
+            from repro.experiments.checkpoint import CheckpointError, verify_journal
+
+            # A cache directory holds one journal per code version; a
+            # checkpoint directory (or journal file) holds exactly one.
+            journals = []
             if args.cache_dir is not None:
-                from repro.experiments.parallel import ResultCache
-
-                verdict = ResultCache(args.cache_dir).verify()
-                emit(verdict.summary())
-                for name in verdict.corrupt:
-                    log.warning("corrupt entry: %s", name)
-                for name in verdict.orphan_tmp:
-                    log.warning("orphaned temp file: %s", name)
-                clean = clean and verdict.clean
+                journals = sorted(Path(args.cache_dir).glob("*.jsonl"))
+                if not journals:
+                    raise CheckpointError(f"no scenario journal in {args.cache_dir}")
             if args.checkpoint_dir is not None:
-                from pathlib import Path
-
-                from repro.experiments.checkpoint import verify_journal
-
-                report = verify_journal(args.checkpoint_dir)
+                journals.append(args.checkpoint_dir)
+            clean = True
+            for journal in journals:
+                report = verify_journal(journal)
                 emit(report.summary())
                 for line in report.torn:
                     log.warning("journal damage: %s", line)
                 clean = clean and report.clean
+            if args.checkpoint_dir is not None:
                 ga_state = Path(args.checkpoint_dir) / "ga.state.json"
                 if ga_state.exists():
                     from repro.dse.ga import verify_ga_state

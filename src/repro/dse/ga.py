@@ -42,16 +42,13 @@ from repro.dse.pareto import (
 from repro.dse.space import DesignSpace, DesignSpaceError, Genome
 from repro.dse.surrogate import SurrogateBank
 from repro.experiments.checkpoint import (
+    CACHE_SCHEMA_VERSION,
     CheckpointError,
     CheckpointManager,
     atomic_write_json,
     config_digest,
 )
-from repro.experiments.parallel import (
-    CACHE_SCHEMA_VERSION,
-    Executor,
-    ScenarioFailure,
-)
+from repro.experiments.parallel import Executor, ScenarioFailure
 from repro.experiments.runner import run_scenario
 from repro.nbti.process_variation import scenario_seed
 from repro.telemetry.log import get_logger

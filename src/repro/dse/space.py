@@ -14,7 +14,7 @@ Design decisions that the rest of ``repro.dse`` leans on:
   factorial designs (low = first level, high = last level).
 * **Genome identity == scenario identity.**  ``decode`` goes through
   :meth:`ScenarioConfig.replace`, and :meth:`scenario_hash` is the same
-  content hash (:func:`repro.experiments.parallel.cache_key`) the
+  content hash (:func:`repro.experiments.checkpoint.cache_key`) the
   result cache and the write-ahead journal key on — so a genome
   re-proposed in a later generation (or a resumed run) dedups against
   every previously computed evaluation for free.
@@ -31,6 +31,7 @@ import dataclasses
 import math
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.experiments.checkpoint import cache_key
 from repro.experiments.config import ScenarioConfig
 from repro.noc.topology import build_topology
 
@@ -224,8 +225,6 @@ class DesignSpace:
         produce identical hashes, which is what makes cross-generation
         and cross-``--resume`` dedup exact rather than heuristic.
         """
-        from repro.experiments.parallel import cache_key
-
         return cache_key(self.decode(genome), iteration)
 
     # -- sampling -------------------------------------------------------

@@ -11,13 +11,16 @@ into the final JSON.  Three cooperating pieces make campaigns durable:
   truncated hybrid.
 * :class:`ScenarioJournal` — a write-ahead, append-only JSONL log.
   One fsync'd record per completed
-  :class:`~repro.experiments.runner.ScenarioResult`, keyed by the same
-  scenario hash the result cache uses, with a per-record CRC-32.  The
-  first line is a header carrying the cache schema version, the code
-  version and a digest of the campaign configuration, so a journal can
-  never silently feed a *different* campaign.  Replay skips and counts
-  torn or CRC-failed records (a ``SIGKILL`` mid-append tears at most
-  the tail line) instead of aborting.
+  :class:`~repro.experiments.runner.ScenarioResult`, keyed by
+  :func:`cache_key`, with a per-record CRC-32 (:func:`encode_payload`,
+  the codec the distributed wire protocol uses too).  The first line
+  is a header carrying the cache schema version, the code version and
+  a digest of the campaign configuration, so a journal can never
+  silently feed a *different* campaign.  Replay skips and counts torn
+  or CRC-failed records (a ``SIGKILL`` mid-append tears at most the
+  tail line) instead of aborting.  The same journal, named by
+  ``config_digest({})``, is the cross-campaign result cache behind
+  ``--cache-dir``.
 * :class:`CheckpointManager` — owns one journal plus the
   ``campaign.state.json`` summary (done/pending/failed counts and
   per-failure tracebacks), and is what
@@ -41,6 +44,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -49,10 +53,11 @@ import signal
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.version import __version__
 from repro.telemetry.log import get_logger
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import ScenarioResult
 
 log = get_logger("checkpoint")
@@ -146,6 +151,115 @@ def atomic_write_json(
 
 
 # ----------------------------------------------------------------------
+# Scenario key and record codec
+# ----------------------------------------------------------------------
+#: Bump when a change to the simulator alters results for an unchanged
+#: ScenarioConfig (invalidates every cached result).
+#: v2: ScenarioConfig gained fault-injection fields (faults,
+#: validate_every) and the Down_Up heartbeat changed engine state.
+#: v3: ScenarioConfig gained the telemetry field, ScenarioResult gained
+#: a telemetry summary, and SimStats percentiles moved to QuantileSketch.
+#: v4: most-degraded tie-break unified to the lowest VC index and the
+#: runner routed through Network.run (interval NBTI accounting +
+#: quiescence fast-forward); results for tied-Vth scenarios changed.
+CACHE_SCHEMA_VERSION = 4
+
+
+def cache_key(scenario: ScenarioConfig, iteration: int) -> str:
+    """Stable content hash of everything a scenario result depends on.
+
+    Covers every ``ScenarioConfig`` field, the traffic iteration, the
+    cache schema version and the package version — so a cache survives
+    process restarts but never serves results across code changes that
+    declare themselves (schema bump / release).
+    """
+    payload = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "version": __version__,
+        "iteration": iteration,
+        "scenario": dataclasses.asdict(scenario),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class CorruptRecord(RuntimeError):
+    """A journal record or wire payload failed its JSON, base64, CRC or
+    unpickle check; the message says which."""
+
+
+def encode_payload(obj: Any) -> Tuple[str, int]:
+    """``(base64 pickle, crc32)`` of a simulation object: the payload of
+    a journal record and of a wire message alike."""
+    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return base64.b64encode(blob).decode("ascii"), zlib.crc32(blob) & 0xFFFFFFFF
+
+
+def _checked_blob(payload: str, crc: int) -> bytes:
+    """The pickle bytes of a payload that passes its base64 and CRC checks."""
+    try:
+        blob = base64.b64decode(payload.encode("ascii"), validate=True)
+    except (ValueError, UnicodeEncodeError, AttributeError) as exc:
+        raise CorruptRecord(f"payload is not valid base64: {exc}") from exc
+    if zlib.crc32(blob) & 0xFFFFFFFF != crc:
+        raise CorruptRecord("payload CRC mismatch")
+    return blob
+
+
+def _unpickle(blob: bytes) -> Any:
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:  # noqa: BLE001 - arbitrary bytes fail arbitrarily
+        raise CorruptRecord(f"payload does not unpickle: {exc}") from exc
+
+
+def decode_payload(payload: str, crc: int) -> Any:
+    """Inverse of :func:`encode_payload`; :class:`CorruptRecord` on rot."""
+    return _unpickle(_checked_blob(payload, crc))
+
+
+def check_record(line: bytes) -> Tuple[str, bytes]:
+    """``(key, pickle bytes)`` of one journal result line whose payload
+    passes its CRC, or :class:`CorruptRecord` naming why it does not."""
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError included
+        raise CorruptRecord("not valid JSON (torn write)") from None
+    if not isinstance(record, dict) or record.get("type") != "result":
+        kind = record.get("type") if isinstance(record, dict) else None
+        raise CorruptRecord(f"not a result record (type={kind!r})")
+    key, crc, payload = record.get("key"), record.get("crc"), record.get("payload")
+    if not isinstance(key, str) or not isinstance(crc, int) or not isinstance(payload, str):
+        raise CorruptRecord("malformed record fields")
+    return key, _checked_blob(payload, crc)
+
+
+def decode_record(line: bytes) -> Tuple[str, ScenarioResult]:
+    """``(key, result)`` of one journal result line, or
+    :class:`CorruptRecord` naming why the line is not one."""
+    key, blob = check_record(line)
+    result = _unpickle(blob)
+    if not isinstance(result, ScenarioResult):
+        raise CorruptRecord(f"payload is a {type(result).__name__}, not a ScenarioResult")
+    return key, result
+
+
+def _dump_record(record: Dict[str, Any]) -> bytes:
+    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _parse_header(line: bytes) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
+    """``(header, None)`` for a header line, else ``(None, reason)``."""
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError:
+        return None, "first line is not valid JSON"
+    if not isinstance(header, dict) or header.get("type") != "header":
+        return None, "first line is not a header record"
+    return header, None
+
+
+# ----------------------------------------------------------------------
 # Scenario journal
 # ----------------------------------------------------------------------
 def config_digest(meta: Dict[str, Any]) -> str:
@@ -156,8 +270,6 @@ def config_digest(meta: Dict[str, Any]) -> str:
     the exact conditions under which a scenario hash means the same
     simulation.
     """
-    from repro.experiments.parallel import CACHE_SCHEMA_VERSION
-
     payload = {
         "cache_schema": CACHE_SCHEMA_VERSION,
         "code_version": __version__,
@@ -173,15 +285,19 @@ class ScenarioJournal:
 
     Line 1 is a header record; every further line is one result record
     ``{"type": "result", "key": <scenario-hash>, "crc": <crc32>,
-    "payload": <base64 pickle>}`` written with ``flush`` + ``fsync``
-    before the writer moves on — the *write-ahead* property: a result
-    is durable before the campaign acts on it.
+    "payload": <base64 pickle>}`` written with one ``O_APPEND`` write +
+    ``fsync`` before the writer moves on — the *write-ahead* property: a
+    result is durable before the campaign acts on it.  Several writers
+    may share one journal (two campaigns on one ``--cache-dir``): each
+    record lands whole at the end of the file.
 
-    :meth:`replay` tolerates torn tails: any line that fails JSON
-    parsing, base64 decoding, the CRC check or unpickling is counted
-    in :attr:`torn` and skipped, never fatal.  A mismatched *header*
-    is fatal (:class:`CheckpointError`) — silently mixing results from
-    a different campaign or code version would be corruption, not
+    Replay checks every record's CRC and indexes where it lies in the
+    file; :meth:`get` unpickles a result when it is asked for, so an open
+    journal holds keys, not results.  Replay tolerates torn tails: any
+    line that fails :func:`check_record` is counted in :attr:`torn` and
+    skipped, never fatal.  A mismatched *header* is fatal
+    (:class:`CheckpointError`) — silently mixing results from a
+    different campaign or code version would be corruption, not
     robustness.
     """
 
@@ -191,19 +307,20 @@ class ScenarioJournal:
         self.path = Path(path)
         self.meta = dict(meta or {})
         self.digest = config_digest(self.meta)
-        self.results: Dict[str, ScenarioResult] = {}
-        #: Valid records recovered by replay at open time.
+        #: Scenario hash -> (offset, length) of its record line.
+        self._index: Dict[str, Tuple[int, int]] = {}
+        #: Distinct valid records recovered by replay at open time.
         self.replayed = 0
         #: Torn/CRC-failed/undecodable records skipped by replay.
         self.torn = 0
         #: Records appended by this process.
         self.appended = 0
-        self._fh = self._open()
+        #: Bytes of the file already indexed (see :meth:`refresh`).
+        self._offset = 0
+        self._fd: Optional[int] = self._open()
 
     # -- opening / replay ---------------------------------------------
     def _header_record(self) -> Dict[str, Any]:
-        from repro.experiments.parallel import CACHE_SCHEMA_VERSION
-
         return {
             "type": "header",
             "journal_schema": JOURNAL_SCHEMA_VERSION,
@@ -213,43 +330,74 @@ class ScenarioJournal:
             "meta": self.meta,
         }
 
-    def _open(self):
-        if self.path.exists() and self.path.stat().st_size > 0:
-            header_ok = self._replay()
-            if header_ok:
-                fh = open(self.path, "r+", encoding="utf-8")
-                fh.seek(0, os.SEEK_END)
-                # A SIGKILL mid-append can leave the tail line without
-                # its newline; terminate it so the next append starts a
-                # fresh record instead of garbling itself onto the tear.
-                if self._missing_trailing_newline():
-                    fh.write("\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                return fh
-            # Unreadable header: nothing recoverable, restart the log.
-            log.warning(
-                "journal %s has an unreadable header; starting it fresh", self.path
-            )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(self.path, "w", encoding="utf-8")
-        fh.write(_dump_record(self._header_record()))
-        fh.flush()
-        os.fsync(fh.fileno())
-        _fsync_directory(self.path.parent)
-        return fh
+    def _open(self) -> int:
+        """Replay the log, then open it for appending (creating it first
+        when it is missing, empty or has an unreadable header)."""
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            self._create(replace=False)
+            return self._open()
+        with fh:
+            first = fh.readline()
+            header, _ = _parse_header(first)
+            if header is None:
+                if first:
+                    log.warning(
+                        "journal %s has an unreadable header; starting it fresh",
+                        self.path,
+                    )
+                self._create(replace=True)
+                return self._open()
+            self._check_header(header)
+            self._offset = len(first)
+            self.replayed = self._scan(fh, whole=True)
+            fh.seek(self._offset - 1)
+            missing_newline = fh.read(1) != b"\n"
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        if missing_newline:
+            # A SIGKILL mid-append can leave the tail line without its
+            # newline; terminate it so the next append starts a fresh
+            # record instead of garbling itself onto the tear.
+            os.write(fd, b"\n")
+            os.fsync(fd)
+        return fd
 
-    def _missing_trailing_newline(self) -> bool:
-        with open(self.path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            return fh.read(1) != b"\n"
+    def _create(self, replace: bool) -> None:
+        """Publish a header-only journal at :attr:`path` in one step, so
+        no reader ever sees it without its header.
+
+        A missing file is created with ``os.link``, which fails when
+        another writer created it first; :meth:`_open` then replays that
+        writer's journal instead.  ``replace`` (the file exists but is
+        empty or has an unreadable header) swaps it out with
+        ``os.replace``; two writers that both find such a file may each
+        replace it, and the records the first appends before the second
+        replaces it are lost.
+        """
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=str(self.path.parent), prefix=self.path.name + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_dump_record(self._header_record()))
+                fh.flush()
+                os.fsync(fh.fileno())
+            if replace:
+                os.replace(tmp, self.path)
+            else:
+                with contextlib.suppress(FileExistsError):
+                    os.link(tmp, self.path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        _fsync_directory(self.path.parent)
 
     def _check_header(self, record: Dict[str, Any]) -> None:
         """Refuse to serve a journal written for a different campaign."""
         if record.get("config_digest") == self.digest:
             return
-        from repro.experiments.parallel import CACHE_SCHEMA_VERSION
-
         details = []
         if record.get("journal_schema") != JOURNAL_SCHEMA_VERSION:
             details.append(
@@ -274,62 +422,82 @@ class ScenarioJournal:
             "configuration"
         )
 
-    def _replay(self) -> bool:
-        """Load every valid record; return False on an unreadable header."""
-        with open(self.path, "r", encoding="utf-8") as fh:
-            first = True
-            for line in fh:
-                line = line.strip()
-                if first:
-                    first = False
-                    try:
-                        header = json.loads(line)
-                    except ValueError:
-                        return False
-                    if not isinstance(header, dict) or header.get("type") != "header":
-                        return False
-                    self._check_header(header)
-                    continue
-                if not line:
-                    continue
-                result = _decode_record(line)
-                if result is None:
-                    self.torn += 1
-                    continue
-                key, value = result
-                self.results[key] = value
-                self.replayed += 1
-        return True
+    def _scan(self, fh, whole: bool) -> int:
+        """Index the valid records from ``fh``'s position (:attr:`_offset`)
+        on, counting bad lines in :attr:`torn`; returns how many new keys
+        it indexed.  Unless ``whole``, a last line without its newline is
+        left for later: another writer may still be writing it.
+        """
+        indexed = 0
+        for line in fh:
+            if not whole and not line.endswith(b"\n"):
+                break
+            start, self._offset = self._offset, self._offset + len(line)
+            if not line.strip():
+                continue
+            try:
+                key, _ = check_record(line)
+            except CorruptRecord:
+                self.torn += 1
+                continue
+            if key not in self._index:
+                self._index[key] = (start, len(line))
+                indexed += 1
+        return indexed
+
+    def refresh(self) -> int:
+        """Index the records other writers appended since this journal
+        last read the file; returns how many new keys it learned."""
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset)
+            return self._scan(fh, whole=False)
 
     # -- appending -----------------------------------------------------
     def append(self, key: str, result: ScenarioResult) -> None:
         """Durably journal one completed result (idempotent per key)."""
-        if key in self.results:
+        if key in self._index:
             return
-        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        record = {
-            "type": "result",
-            "key": key,
-            "crc": zlib.crc32(blob) & 0xFFFFFFFF,
-            "payload": base64.b64encode(blob).decode("ascii"),
-        }
-        self._fh.write(_dump_record(record))
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self.results[key] = result
+        payload, crc = encode_payload(result)
+        data = _dump_record({"type": "result", "key": key, "crc": crc, "payload": payload})
+        # One write per record: with O_APPEND it lands whole at the end
+        # of the file even when another process appends concurrently.
+        # A short write (disk full) is not retried, since a second write
+        # could interleave with another writer's record.
+        if os.write(self._fd, data) != len(data):
+            raise OSError(errno.EIO, f"short write to journal {self.path}")
+        os.fsync(self._fd)
+        start = os.lseek(self._fd, 0, os.SEEK_CUR) - len(data)
+        self._index[key] = (start, len(data))
+        if start == self._offset:
+            self._offset += len(data)  # no other writer in between
         self.appended += 1
 
     def get(self, key: str) -> Optional[ScenarioResult]:
-        return self.results.get(key)
+        """The journaled result for ``key``, unpickled from the file, or
+        ``None``; a record that passed its CRC but does not load is
+        counted in :attr:`torn` and becomes a miss."""
+        where = self._index.get(key)
+        if where is None:
+            return None
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(where[0])
+                found, result = decode_record(fh.read(where[1]))
+        except (OSError, CorruptRecord):
+            found = None
+        if found != key:
+            del self._index[key]
+            self.torn += 1
+            return None
+        return result
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self._index)
 
 
 @dataclasses.dataclass
@@ -373,32 +541,6 @@ class JournalVerifyReport:
         return line
 
 
-def _record_error(line: str) -> str:
-    """Why a journal line failed :func:`_decode_record` (verify detail)."""
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return "not valid JSON (torn write)"
-    if not isinstance(record, dict) or record.get("type") != "result":
-        return f"not a result record (type={record.get('type') if isinstance(record, dict) else None!r})"
-    key, crc, payload = record.get("key"), record.get("crc"), record.get("payload")
-    if not isinstance(key, str) or not isinstance(crc, int) or not isinstance(payload, str):
-        return "malformed record fields"
-    try:
-        blob = base64.b64decode(payload.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError):
-        return "payload is not valid base64"
-    if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-        return "CRC mismatch"
-    try:
-        result = pickle.loads(blob)
-    except Exception:  # noqa: BLE001 - arbitrary bytes fail arbitrarily
-        return "payload does not unpickle"
-    if not isinstance(result, ScenarioResult):
-        return f"payload is a {type(result).__name__}, not a ScenarioResult"
-    return "undiagnosed"
-
-
 def verify_journal(path: PathLike) -> JournalVerifyReport:
     """Scan one scenario journal: header shape + per-record CRC.
 
@@ -417,40 +559,34 @@ def verify_journal(path: PathLike) -> JournalVerifyReport:
         path = path / ScenarioJournal.FILENAME
     if not path.exists():
         raise CheckpointError(f"no scenario journal at {path}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    missing_newline = bool(raw) and not raw.endswith(b"\n")
-    lines = raw.decode("utf-8", errors="replace").splitlines()
+    raw = path.read_bytes()
+    lines, missing_newline = raw.splitlines(), bool(raw) and not raw.endswith(b"\n")
     if not lines:
         return JournalVerifyReport(
             path=path, header_ok=False, header_error="empty file",
             total=0, ok=0, torn=[], missing_final_newline=False,
         )
-    header_ok, header_error = True, None
-    try:
-        header = json.loads(lines[0])
-        if not isinstance(header, dict) or header.get("type") != "header":
-            header_ok, header_error = False, "first line is not a header record"
-        elif not isinstance(header.get("config_digest"), str) or len(
-            header["config_digest"]
-        ) != 64:
-            header_ok, header_error = False, "header carries no config digest"
+    header, header_error = _parse_header(lines[0])
+    if header is not None:
+        digest = header.get("config_digest")
+        if not isinstance(digest, str) or len(digest) != 64:
+            header_error = "header carries no config digest"
         elif not isinstance(header.get("journal_schema"), int):
-            header_ok, header_error = False, "header carries no journal schema"
-    except ValueError:
-        header_ok, header_error = False, "first line is not valid JSON"
+            header_error = "header carries no journal schema"
     total = ok = 0
     torn: List[str] = []
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         total += 1
-        if _decode_record(line) is not None:
-            ok += 1
+        try:
+            decode_record(line)
+        except CorruptRecord as exc:
+            torn.append(f"line {number}: {exc}")
         else:
-            torn.append(f"line {number}: {_record_error(line)}")
+            ok += 1
     return JournalVerifyReport(
-        path=path, header_ok=header_ok, header_error=header_error,
+        path=path, header_ok=header_error is None, header_error=header_error,
         total=total, ok=ok, torn=torn,
         missing_final_newline=missing_newline,
     )
@@ -495,38 +631,6 @@ def bound_traceback(
             tail = tail[newline + 1:]
         clamped = marker + tail
     return clamped
-
-
-def _dump_record(record: Dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _decode_record(line: str):
-    """``(key, result)`` for a valid result record, else ``None``."""
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(record, dict) or record.get("type") != "result":
-        return None
-    key = record.get("key")
-    crc = record.get("crc")
-    payload = record.get("payload")
-    if not isinstance(key, str) or not isinstance(crc, int) or not isinstance(payload, str):
-        return None
-    try:
-        blob = base64.b64decode(payload.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError):
-        return None
-    if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-        return None
-    try:
-        result = pickle.loads(blob)
-    except Exception:  # noqa: BLE001 - any unpickling failure is a torn record
-        return None
-    if not isinstance(result, ScenarioResult):
-        return None
-    return key, result
 
 
 # ----------------------------------------------------------------------
@@ -625,20 +729,18 @@ class CheckpointManager:
         """
         path = Path(directory) / ScenarioJournal.FILENAME
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                header = json.loads(fh.readline())
+            with open(path, "rb") as fh:
+                header, error = _parse_header(fh.readline())
         except FileNotFoundError:
             raise CheckpointError(
                 f"no scenario journal in {directory}; nothing to resume"
             ) from None
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
             raise CheckpointError(
                 f"cannot read journal header in {directory}: {exc}"
             ) from exc
-        if not isinstance(header, dict) or header.get("type") != "header":
-            raise CheckpointError(
-                f"{path} is not a scenario journal (bad header)"
-            )
+        if header is None:
+            raise CheckpointError(f"{path} is not a scenario journal ({error})")
         meta = header.get("meta")
         if not isinstance(meta, dict):
             raise CheckpointError(f"{path} header carries no campaign meta")

@@ -3,10 +3,10 @@
 Everything on the wire is JSON over plain HTTP (stdlib only — no new
 dependencies), with simulation objects (``WorkUnit`` tuples going out,
 :class:`~repro.experiments.runner.ScenarioResult` objects coming back)
-carried as base64-encoded pickles guarded by a CRC-32 — the same
-record scheme the write-ahead :class:`ScenarioJournal` uses, so a
-completion that survives the network round-trip is byte-for-byte what
-gets journaled.
+carried as base64-encoded pickles guarded by a CRC-32 — the
+:func:`~repro.experiments.checkpoint.encode_payload` codec the
+write-ahead :class:`ScenarioJournal` uses, so a completion that
+survives the network round-trip is byte-for-byte what gets journaled.
 
 Endpoints (all bodies are JSON objects):
 
@@ -47,14 +47,13 @@ re-executing a unit is always safe, re-committing it is a no-op.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
-import pickle
-import zlib
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 from urllib.error import HTTPError, URLError
 from urllib.request import Request, urlopen
+
+from repro.experiments.checkpoint import CorruptRecord, decode_payload, encode_payload
 
 #: Bump on incompatible wire-format changes; carried in /status and
 #: checked by workers so a mixed-version fleet fails loudly, not weirdly.
@@ -64,9 +63,10 @@ PROTOCOL_VERSION = 1
 DEFAULT_PORT = 8765
 
 
-class ProtocolError(RuntimeError):
-    """A payload failed its CRC/pickle validation or an HTTP exchange
-    returned something that is not valid protocol JSON."""
+#: A payload failed the shared record codec's base64/CRC/pickle check,
+#: or an HTTP exchange returned something that is not protocol JSON.
+#: One class, so wire code catches both with one ``except``.
+ProtocolError = CorruptRecord
 
 
 @dataclasses.dataclass
@@ -186,26 +186,6 @@ class DistributedSpec:
         if self.heartbeat_interval is not None:
             return self.heartbeat_interval
         return max(self.lease_timeout / 4.0, 0.05)
-
-
-def encode_payload(obj: Any) -> Tuple[str, int]:
-    """``(base64 pickle, crc32)`` of a simulation object."""
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return base64.b64encode(blob).decode("ascii"), zlib.crc32(blob) & 0xFFFFFFFF
-
-
-def decode_payload(payload: str, crc: int) -> Any:
-    """Inverse of :func:`encode_payload`; :class:`ProtocolError` on rot."""
-    try:
-        blob = base64.b64decode(payload.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError, AttributeError) as exc:
-        raise ProtocolError(f"payload is not valid base64: {exc}") from exc
-    if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-        raise ProtocolError("payload CRC mismatch (corrupted in transit)")
-    try:
-        return pickle.loads(blob)
-    except Exception as exc:  # noqa: BLE001 - arbitrary bytes fail arbitrarily
-        raise ProtocolError(f"payload does not unpickle: {exc}") from exc
 
 
 def post_json(url: str, blob: Any, timeout: float = 30.0) -> Any:

@@ -13,8 +13,10 @@ This module exploits that:
   workers — with results bit-identical whichever source ran them
   (determinism is a property of the work units, not of scheduling;
   verified by ``tests/test_parallel.py``).
-* :class:`ResultCache` is an on-disk cache keyed by a stable hash of
-  the scenario parameters, the iteration and a schema/code version, so
+* ``cache`` is a directory holding a
+  :class:`~repro.experiments.checkpoint.ScenarioJournal` keyed by
+  :func:`~repro.experiments.checkpoint.cache_key` (a stable hash of the
+  scenario parameters, the iteration and a schema/code version), so
   repeated campaigns and benchmarks skip already-computed scenarios.
 * :class:`ExecutorStats` accumulates per-scenario timing (scenarios
   completed, wall seconds, serial-time estimate and the implied
@@ -33,15 +35,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
-import json
 import multiprocessing
 import os
 import pickle
 import queue as queue_module
 import random
 import signal
-import tempfile
 import threading
 import time
 import traceback as traceback_module
@@ -49,10 +48,16 @@ from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.version import __version__
 from repro.telemetry.log import current_log_level, setup_worker_logging
 from repro.telemetry.metrics import MetricsRegistry
-from repro.experiments.checkpoint import CampaignInterrupted, CheckpointManager
+from repro.experiments.checkpoint import (  # noqa: F401 - CACHE_SCHEMA_VERSION re-exported
+    CACHE_SCHEMA_VERSION,
+    CampaignInterrupted,
+    CheckpointManager,
+    ScenarioJournal,
+    cache_key,
+    config_digest,
+)
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.governor import (
     BUDGET_KINDS,
@@ -67,18 +72,6 @@ from repro.experiments.runner import ScenarioResult, run_scenario
 #: One unit of simulation work: a fully-specified scenario + traffic
 #: iteration.  Everything the result depends on is in these two values.
 WorkUnit = Tuple[ScenarioConfig, int]
-
-#: Bump when a change to the simulator alters results for an unchanged
-#: ScenarioConfig (invalidates every cached result).
-#: v2: ScenarioConfig gained fault-injection fields (faults,
-#: validate_every) and the Down_Up heartbeat changed engine state.
-#: v3: ScenarioConfig gained the telemetry field, ScenarioResult gained
-#: a telemetry summary, and SimStats percentiles moved to QuantileSketch.
-#: v4: most-degraded tie-break unified to the lowest VC index and the
-#: runner routed through Network.run (interval NBTI accounting +
-#: quiescence fast-forward); results for tied-Vth scenarios changed.
-CACHE_SCHEMA_VERSION = 4
-
 
 def _execute_unit(unit: WorkUnit) -> ScenarioResult:
     """Top-level worker entry point (must be picklable by name)."""
@@ -229,135 +222,6 @@ class ScenarioFailure:
         return line
 
 
-def cache_key(scenario: ScenarioConfig, iteration: int) -> str:
-    """Stable content hash of everything a scenario result depends on.
-
-    Covers every ``ScenarioConfig`` field, the traffic iteration, the
-    cache schema version and the package version — so a cache survives
-    process restarts but never serves results across code changes that
-    declare themselves (schema bump / release).
-    """
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "version": __version__,
-        "iteration": iteration,
-        "scenario": dataclasses.asdict(scenario),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class ResultCache:
-    """On-disk :class:`ScenarioResult` cache (one pickle per work unit).
-
-    Writes are atomic (temp file + ``os.replace``) so a killed run never
-    leaves a truncated entry; unreadable entries are treated as misses
-    *and counted* (``corrupt_entries``) so cache rot stays visible — a
-    plain miss (no file) is not corruption and is not counted.
-    """
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise NotADirectoryError(
-                f"cache path exists and is not a directory: {self.root}"
-            )
-        self.root.mkdir(parents=True, exist_ok=True)
-        #: Entries that existed on disk but could not be loaded (or held
-        #: the wrong type): truncated pickles, permission errors, stale
-        #: class layouts.  Served as misses, surfaced by the Executor.
-        self.corrupt_entries = 0
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
-
-    def get(self, scenario: ScenarioConfig, iteration: int) -> Optional[ScenarioResult]:
-        """Return the cached result for a unit, or ``None`` on a miss."""
-        path = self._path(cache_key(scenario, iteration))
-        try:
-            with open(path, "rb") as fh:
-                result = pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
-            self.corrupt_entries += 1
-            return None
-        if not isinstance(result, ScenarioResult):
-            self.corrupt_entries += 1
-            return None
-        return result
-
-    def put(self, scenario: ScenarioConfig, iteration: int, result: ScenarioResult) -> None:
-        """Store one computed result (atomic + fsync, last-writer-wins)."""
-        path = self._path(cache_key(scenario, iteration))
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def verify(self) -> "CacheVerifyReport":
-        """Scan every entry, loading each one, and report the rot.
-
-        Covers what :meth:`get` would hit lazily — truncated pickles
-        (partial writes that predate fsync), wrong payload types,
-        unreadable files — plus leftover ``*.tmp`` files from writers
-        that died before their rename.
-        """
-        total = ok = 0
-        corrupt: List[str] = []
-        for path in sorted(self.root.glob("*.pkl")):
-            total += 1
-            try:
-                with open(path, "rb") as fh:
-                    entry = pickle.load(fh)
-            except Exception:  # noqa: BLE001 - arbitrary bytes fail arbitrarily
-                corrupt.append(path.name)
-                continue
-            if isinstance(entry, ScenarioResult):
-                ok += 1
-            else:
-                corrupt.append(path.name)
-        orphans = sorted(path.name for path in self.root.glob("*.tmp"))
-        return CacheVerifyReport(
-            root=self.root, total=total, ok=ok, corrupt=corrupt, orphan_tmp=orphans
-        )
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.pkl"))
-
-
-@dataclasses.dataclass
-class CacheVerifyReport:
-    """Outcome of :meth:`ResultCache.verify` (the ``cache verify`` CLI)."""
-
-    root: Path
-    total: int
-    ok: int
-    corrupt: List[str]
-    orphan_tmp: List[str]
-
-    @property
-    def clean(self) -> bool:
-        return not self.corrupt and not self.orphan_tmp
-
-    def summary(self) -> str:
-        line = f"{self.root}: {self.ok}/{self.total} entries loadable"
-        if self.corrupt:
-            line += f", {len(self.corrupt)} corrupt"
-        if self.orphan_tmp:
-            line += f", {len(self.orphan_tmp)} orphaned tmp file(s)"
-        return line
-
-
 @dataclasses.dataclass
 class ExecutorStats:
     """Accumulated execution accounting across ``Executor.map`` calls."""
@@ -374,8 +238,8 @@ class ExecutorStats:
     failures: int = 0
     retries: int = 0
     timeouts: int = 0
-    #: Corrupt cache entries served as misses (mirrors the cache's own
-    #: counter so one summary line covers everything).
+    #: Torn records skipped when the cache journal was opened (its
+    #: ``torn`` count), so one summary line covers everything.
     cache_corrupt: int = 0
     #: Units served from the write-ahead scenario journal (resume hits).
     journal_hits: int = 0
@@ -424,8 +288,11 @@ class Executor:
         (``os.cpu_count``); ``1`` runs units in-process unless a
         ``timeout`` or ``governor`` needs killable processes.
     cache:
-        Optional :class:`ResultCache` (or a path, which constructs one).
-        Hits skip simulation entirely; fresh results are stored back.
+        Optional result-cache directory.  It holds one
+        :class:`~repro.experiments.checkpoint.ScenarioJournal` per code
+        version, named by ``config_digest({})``, so a version bump
+        starts a new file and older entries are misses.  Hits skip
+        simulation entirely; fresh results are appended.
     progress:
         Optional callable receiving one human-readable line per
         completed scenario (``[3/12] 4core-inj0.10 policy=... 0.42s``).
@@ -492,7 +359,7 @@ class Executor:
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        cache: Optional[Union[ResultCache, str, Path]] = None,
+        cache: Optional[Union[str, Path]] = None,
         progress: Optional[Callable[[str], None]] = None,
         timeout: Optional[float] = None,
         retries: int = 0,
@@ -517,9 +384,6 @@ class Executor:
         if retry_backoff < 0:
             raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
         self.max_workers = max_workers
-        if cache is not None and not isinstance(cache, ResultCache):
-            cache = ResultCache(cache)
-        self.cache = cache
         self.progress = progress
         self.timeout = timeout
         self.retries = retries
@@ -544,7 +408,9 @@ class Executor:
         #: (what campaign.state.json surfaces as the failed-unit list).
         self.failure_records: List[ScenarioFailure] = []
         self._drain = threading.Event()
-        self._warned_corrupt = False
+        self.cache: Optional[ScenarioJournal] = None
+        if cache is not None:
+            self.cache = ScenarioJournal(Path(cache) / f"{config_digest({})}.jsonl")
         if checkpoint is not None and self.metrics is not None:
             self.metrics.inc("checkpoint.journal_replayed", checkpoint.journal.replayed)
             self.metrics.inc("checkpoint.journal_torn", checkpoint.journal.torn)
@@ -590,6 +456,15 @@ class Executor:
         started = time.perf_counter()
         self.stats.units_total += len(units)
         results: List[Optional[Union[ScenarioResult, ScenarioFailure]]] = [None] * len(units)
+        if self.cache is not None:
+            # Serve what concurrent campaigns on this cache stored since.
+            self.cache.refresh()
+            if self.cache.torn and not self.stats.cache_corrupt:
+                self._report_line(
+                    f"warning: {self.cache.torn} corrupt result-cache "
+                    f"entries under {self.cache.path.parent} were treated as misses"
+                )
+            self.stats.cache_corrupt = self.cache.torn
 
         pending: List[int] = []
         for index, unit in enumerate(units):
@@ -599,7 +474,6 @@ class Executor:
                 self._report(index, unit, known, cached=True)
             else:
                 pending.append(index)
-        self._sync_cache_corruption()
 
         if pending:
             if self.distributed is not None:
@@ -636,14 +510,16 @@ class Executor:
     # -- lookups -------------------------------------------------------
     def _lookup(self, unit: WorkUnit) -> Optional[ScenarioResult]:
         """Serve a unit from the journal (resume) or the result cache."""
-        scenario, iteration = unit
+        if self.checkpoint is None and self.cache is None:
+            return None
+        key = cache_key(*unit)
         if self.checkpoint is not None:
-            hit = self.checkpoint.lookup(cache_key(scenario, iteration))
+            hit = self.checkpoint.lookup(key)
             if hit is not None:
                 self.stats.journal_hits += 1
                 return hit
         if self.cache is not None:
-            hit = self.cache.get(scenario, iteration)
+            hit = self.cache.get(key)
             if hit is not None:
                 self.stats.cache_hits += 1
                 return hit
@@ -991,12 +867,14 @@ class Executor:
             raise CampaignInterrupted(len(outstanding))
 
     def close(self) -> None:
-        """Stop the embedded coordinator and its local workers (no-op
-        for non-distributed executors; safe to call repeatedly)."""
+        """Stop the embedded coordinator and its local workers, and close
+        the cache journal (safe to call repeatedly)."""
         if self._server is not None:
             self._distributed_summary = self._server.summary()
             self._server.close()
             self._server = None
+        if self.cache is not None:
+            self.cache.close()
 
     def _note_breach(
         self, unit: WorkUnit, kind: str, elapsed: float
@@ -1031,17 +909,6 @@ class Executor:
         if self.progress is not None:
             self._report_line(f"[{index + 1}/{self.stats.units_total}] FAILED {failure}")
 
-    def _sync_cache_corruption(self) -> None:
-        if self.cache is None or self.cache.corrupt_entries <= self.stats.cache_corrupt:
-            return
-        self.stats.cache_corrupt = self.cache.corrupt_entries
-        if not self._warned_corrupt:
-            self._warned_corrupt = True
-            self._report_line(
-                f"warning: {self.cache.corrupt_entries} corrupt result-cache "
-                f"entries under {self.cache.root} were treated as misses"
-            )
-
     # -- bookkeeping ---------------------------------------------------
     def _finish(
         self,
@@ -1057,11 +924,11 @@ class Executor:
             self.metrics.observe("scenario.sim_seconds", result.sim_seconds)
             self.metrics.observe("scenario.wall_seconds", result.wall_seconds)
         if self.cache is not None:
-            self.cache.put(unit[0], unit[1], result)
+            self.cache.append(cache_key(*unit), result)
         if self.checkpoint is not None:
             # Write-ahead: the result is durable (fsync'd journal
             # record) before the campaign consumes it.
-            self.checkpoint.record(cache_key(unit[0], unit[1]), result)
+            self.checkpoint.record(cache_key(*unit), result)
             if self.metrics is not None:
                 self.metrics.inc("checkpoint.journal_appends")
         self._report(index, unit, result, cached=False)

@@ -23,6 +23,7 @@ import zlib
 
 import pytest
 
+import repro.experiments.checkpoint as checkpoint_module
 from repro.experiments.checkpoint import (
     TRACEBACK_MAX_BYTES,
     CampaignInterrupted,
@@ -37,7 +38,6 @@ from repro.experiments.checkpoint import (
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import (
     Executor,
-    ResultCache,
     ScenarioFailure,
     cache_key,
     make_executor,
@@ -194,6 +194,143 @@ class TestScenarioJournal:
         journal.close()
         # Recreated with a valid header: reopens cleanly.
         ScenarioJournal(path, meta={"m": 1}).close()
+
+    def test_non_utf8_byte_is_one_torn_record(self, tmp_path):
+        """One rotten byte (0xff is never UTF-8) in the last record:
+        the journal still opens, and verify counts the same damage."""
+        path = tmp_path / "j.jsonl"
+        journal = ScenarioJournal(path, meta={})
+        for unit in tiny_units(2):
+            journal.append(cache_key(*unit), run_scenario(*unit))
+        journal.close()
+        raw = bytearray(path.read_bytes())
+        raw[-20] = 0xFF  # inside the last record's base64 payload
+        path.write_bytes(bytes(raw))
+
+        replayed = ScenarioJournal(path, meta={})
+        assert (replayed.replayed, replayed.torn) == (1, 1)
+        replayed.close()
+        report = verify_journal(path)
+        assert (report.ok, len(report.torn)) == (1, 1)
+        assert report.torn_tail
+
+    def test_two_writers_keep_both_records(self, tmp_path):
+        """Writers sharing one journal (two campaigns on one cache
+        directory) append; neither overwrites the other's record."""
+        path = tmp_path / "j.jsonl"
+        (a, b) = tiny_units(2)
+        first = ScenarioJournal(path, meta={})
+        second = ScenarioJournal(path, meta={})
+        first.append(cache_key(*a), run_scenario(*a))
+        second.append(cache_key(*b), run_scenario(*b))
+        first.close()
+        second.close()
+        replayed = ScenarioJournal(path, meta={})
+        assert replayed.replayed == 2
+        assert replayed.get(cache_key(*a)) is not None
+        assert replayed.get(cache_key(*b)) is not None
+        replayed.close()
+        assert verify_journal(path).clean
+
+    def test_journal_created_between_read_and_create(self, tmp_path, monkeypatch):
+        """Another writer creates the journal and appends to it after
+        this writer found the file missing: this writer joins that
+        journal instead of replacing it."""
+        path = tmp_path / "j.jsonl"
+        (a, b) = tiny_units(2)
+        real_create = ScenarioJournal._create
+        raced = []
+
+        def racing_create(journal, replace):
+            if not raced:
+                raced.append(True)
+                other = ScenarioJournal(path, meta={})
+                other.append(cache_key(*a), run_scenario(*a))
+                other.close()
+            return real_create(journal, replace)
+
+        monkeypatch.setattr(ScenarioJournal, "_create", racing_create)
+        journal = ScenarioJournal(path, meta={})
+        assert raced and journal.get(cache_key(*a)) is not None
+        journal.append(cache_key(*b), run_scenario(*b))
+        journal.close()
+        monkeypatch.undo()
+        replayed = ScenarioJournal(path, meta={})
+        assert (replayed.replayed, replayed.torn) == (2, 0)
+        replayed.close()
+
+    def test_short_write_raises(self, tmp_path, monkeypatch):
+        """A write that lands only part of a record (disk full) is an
+        error, not a journaled result."""
+        key, result = self._result()
+        journal = ScenarioJournal(tmp_path / "j.jsonl", meta={})
+        monkeypatch.setattr(checkpoint_module.os, "write", lambda fd, data: len(data) - 1)
+        with pytest.raises(OSError, match="short write"):
+            journal.append(key, result)
+        monkeypatch.undo()
+        assert journal.get(key) is None and journal.appended == 0
+        journal.close()
+
+    def test_record_that_does_not_load_is_a_miss(self, tmp_path):
+        """A record whose CRC holds but whose payload is no result passes
+        replay; get() then counts it torn and serves a miss."""
+        path = tmp_path / "j.jsonl"
+        ScenarioJournal(path, meta={}).close()
+        blob = pickle.dumps({"not": "a result"})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({
+                "type": "result", "key": "k", "crc": zlib.crc32(blob),
+                "payload": base64.b64encode(blob).decode("ascii"),
+            }) + "\n")
+        journal = ScenarioJournal(path, meta={})
+        assert (len(journal), journal.torn) == (1, 0)
+        assert journal.get("k") is None
+        assert (len(journal), journal.torn) == (0, 1)
+        journal.close()
+
+    def test_refresh_reads_only_complete_records(self, tmp_path):
+        """refresh() learns what other writers appended, skipping a
+        record that is still being written until its newline lands."""
+        key, result = self._result()
+        path = tmp_path / "j.jsonl"
+        reader = ScenarioJournal(path, meta={})
+        writer = ScenarioJournal(path, meta={})
+        writer.append(key, result)
+        writer.close()
+        line = path.read_bytes().splitlines(keepends=True)[1]
+        path.write_bytes(path.read_bytes()[: -len(line)] + line[:-1])
+        assert reader.refresh() == 0 and reader.get(key) is None
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+        assert reader.refresh() == 1
+        assert fingerprint(reader.get(key)) == fingerprint(result)
+        assert (reader.torn, reader.refresh()) == (0, 0)
+        reader.close()
+
+    def test_hand_built_record_replays(self, tmp_path):
+        """Pins the on-disk format: a record written without the journal
+        (sorted-key compact JSON, CRC-32 of the pickle, base64 payload)
+        replays into the original result."""
+        key, result = self._result()
+        path = tmp_path / "j.jsonl"
+        ScenarioJournal(path, meta={}).close()
+        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        record = {
+            "type": "result",
+            "key": key,
+            "crc": zlib.crc32(blob) & 0xFFFFFFFF,
+            "payload": base64.b64encode(blob).decode("ascii"),
+        }
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        replayed = ScenarioJournal(path, meta={})
+        assert (replayed.replayed, replayed.torn) == (1, 0)
+        assert fingerprint(replayed.get(key)) == fingerprint(result)
+        # ... and the journal writes that same line itself.
+        path.unlink()
+        ScenarioJournal(path, meta={}).append(key, result)
+        line = path.read_text().splitlines()[1]
+        assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 class TestCheckpointManager:
@@ -367,44 +504,71 @@ class TestFailureRecords:
 # ----------------------------------------------------------------------
 # Cache verify
 # ----------------------------------------------------------------------
+def _cache_journal(root):
+    """The one journal a result-cache directory holds."""
+    (path,) = root.glob("*.jsonl")
+    return path
+
+
 class TestCacheVerify:
     def _populated(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        scenario, iteration = tiny_units(1)[0]
-        cache.put(scenario, iteration, run_scenario(scenario, iteration))
-        return cache
+        Executor(max_workers=1, cache=tmp_path).map(tiny_units(1))
+        return _cache_journal(tmp_path)
 
     def test_clean_cache(self, tmp_path):
-        report = self._populated(tmp_path).verify()
+        report = verify_journal(self._populated(tmp_path))
         assert report.total == report.ok == 1
         assert report.clean
-        assert "1/1 entries loadable" in report.summary()
+        assert "1/1 records valid" in report.summary()
 
     def test_truncated_entry_reported(self, tmp_path):
-        cache = self._populated(tmp_path)
-        victim = next(cache.root.glob("*.pkl"))
-        victim.write_bytes(victim.read_bytes()[:16])
-        report = cache.verify()
+        path = self._populated(tmp_path)
+        path.write_bytes(path.read_bytes()[:-40])
+        report = verify_journal(path)
         assert report.ok == 0
-        assert report.corrupt == [victim.name]
+        assert len(report.torn) == 1
         assert not report.clean
 
     def test_wrong_type_and_orphan_tmp(self, tmp_path):
-        cache = self._populated(tmp_path)
-        (cache.root / "deadbeef.pkl").write_bytes(pickle.dumps({"not": "a result"}))
-        (cache.root / "leftover.tmp").write_bytes(b"partial")
-        report = cache.verify()
+        path = self._populated(tmp_path)
+        blob = pickle.dumps({"not": "a result"})
+        record = {"type": "result", "key": "deadbeef",
+                  "crc": zlib.crc32(blob) & 0xFFFFFFFF,
+                  "payload": base64.b64encode(blob).decode("ascii")}
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        # Leftovers of a dead writer and pre-journal cache entries are
+        # not journals: the scan ignores them.
+        (tmp_path / "leftover.tmp").write_bytes(b"partial")
+        (tmp_path / "deadbeef.pkl").write_bytes(b"old cache entry")
+        report = verify_journal(path)
         assert report.ok == 1
-        assert report.corrupt == ["deadbeef.pkl"]
-        assert report.orphan_tmp == ["leftover.tmp"]
+        assert report.torn == ["line 3: payload is a dict, not a ScenarioResult"]
+        assert _cache_journal(tmp_path) == path
 
     def test_cli_exit_codes(self, tmp_path):
         from repro.cli import main
 
-        cache = self._populated(tmp_path)
+        path = self._populated(tmp_path)
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
-        next(cache.root.glob("*.pkl")).write_bytes(b"garbage")
+        raw = bytearray(path.read_bytes())
+        raw[-20] ^= 0x01  # one flipped bit in the payload
+        path.write_bytes(bytes(raw))
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
+        # A directory with no journal at all is an unusable argument.
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path / "none")]) == 2
+
+    def test_bumped_schema_is_a_miss_not_an_error(self, tmp_path, monkeypatch):
+        units = tiny_units(1)
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint_module, "CACHE_SCHEMA_VERSION", 99)
+            Executor(max_workers=1, cache=tmp_path).map(units)
+        executor = Executor(max_workers=1, cache=tmp_path)
+        executor.map(units)
+        assert executor.stats.cache_hits == 0
+        assert executor.stats.cache_corrupt == 0
+        # The new version's journal sits beside the old one.
+        assert len(list(tmp_path.glob("*.jsonl"))) == 2
 
 
 # ----------------------------------------------------------------------
@@ -497,9 +661,8 @@ class TestVerifyJournal:
         cache_dir = tmp_path / "cache"
         ckpt_dir = tmp_path / "ckpt"
         ckpt_dir.mkdir()
-        cache = ResultCache(cache_dir)
         unit = tiny_units(1)[0]
-        cache.put(unit[0], unit[1], run_scenario(*unit))
+        Executor(max_workers=1, cache=cache_dir).map([unit])
         journal = ScenarioJournal(
             ckpt_dir / "scenario.journal.jsonl", meta={"m": 1}
         )
@@ -508,8 +671,9 @@ class TestVerifyJournal:
         args = ["cache", "verify", "--cache-dir", str(cache_dir),
                 "--checkpoint-dir", str(ckpt_dir)]
         assert main(args) == 0
-        # Rot in either store fails the combined scan.
-        next(cache_dir.glob("*.pkl")).write_bytes(b"garbage")
+        # Rot in either directory fails the combined scan.
+        cached = _cache_journal(cache_dir)
+        cached.write_bytes(cached.read_bytes()[:-40])
         assert main(args) == 1
 
 

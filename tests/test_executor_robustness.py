@@ -14,7 +14,6 @@ import pytest
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import (
     Executor,
-    ResultCache,
     RetryBackoff,
     ScenarioFailure,
     cache_key,
@@ -278,13 +277,16 @@ class TestRobustVsPlainMap:
 class TestCorruptCache:
     def test_corrupt_entries_counted_and_warned(self, tmp_path):
         unit = _tiny_unit()
-        cache = ResultCache(tmp_path)
-        key = cache_key(*unit)
-        (tmp_path / f"{key}.pkl").write_bytes(b"this is not a pickle")
+        Executor(max_workers=1, cache=tmp_path).close()
+        (journal,) = tmp_path.glob("*.jsonl")
+        with open(journal, "a", encoding="utf-8") as fh:
+            fh.write('{"type":"result","key":"%s","crc":0,'
+                     '"payload":"bm90IGEgcGlja2xl"}\n' % cache_key(*unit))
 
         lines = []
-        executor = Executor(max_workers=1, cache=cache, progress=lines.append)
+        executor = Executor(max_workers=1, cache=tmp_path, progress=lines.append)
         (result,) = executor.map([unit])
+        executor.map([unit])
         # Served as a miss: the scenario was recomputed...
         assert result.duty_cycles
         # ...and the corruption is visible exactly once.
@@ -294,7 +296,7 @@ class TestCorruptCache:
         assert len(warnings) == 1
 
     def test_plain_miss_is_not_corruption(self, tmp_path):
-        executor = Executor(max_workers=1, cache=ResultCache(tmp_path))
+        executor = Executor(max_workers=1, cache=tmp_path)
         executor.map([_tiny_unit()])
         assert executor.stats.cache_corrupt == 0
         assert "corrupt" not in executor.summary()

@@ -18,12 +18,11 @@ import pytest
 
 import repro.experiments.parallel as parallel
 from repro.experiments.campaign import CampaignConfig, run_campaign
-from repro.experiments.checkpoint import CheckpointManager
+from repro.experiments.checkpoint import CheckpointManager, ScenarioJournal
 from repro.experiments.config import REAL_TRAFFIC, ScenarioConfig
 from repro.experiments.governor import GovernorSpec
 from repro.experiments.parallel import (
     Executor,
-    ResultCache,
     ScenarioFailure,
     cache_key,
     execute_units,
@@ -180,18 +179,37 @@ class TestResultCache:
         )
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
         scenario = ScenarioConfig(num_nodes=4, num_vcs=2, **FAST)
-        (tmp_path / f"{cache_key(scenario, 0)}.pkl").write_bytes(b"not a pickle")
-        assert cache.get(scenario, 0) is None
+        Executor(max_workers=1, cache=tmp_path).close()
+        (journal,) = tmp_path.glob("*.jsonl")
+        with open(journal, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"type": "result", "key": cache_key(scenario, 0),
+                                 "crc": 0, "payload": "bm90IGEgcGlja2xl"}) + "\n")
+        cache = Executor(max_workers=1, cache=tmp_path).cache
+        assert cache.get(cache_key(scenario, 0)) is None
+        assert cache.torn == 1
 
     def test_put_get_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
         scenario = ScenarioConfig(num_nodes=4, num_vcs=2, **FAST)
-        result = run_scenario(scenario)
-        cache.put(scenario, 0, result)
+        (result,) = Executor(max_workers=1, cache=tmp_path).map([(scenario, 0)])
+        cache = Executor(max_workers=1, cache=tmp_path).cache
         assert len(cache) == 1
-        assert result_fingerprint(cache.get(scenario, 0)) == result_fingerprint(result)
+        assert result_fingerprint(cache.get(cache_key(scenario, 0))) == result_fingerprint(result)
+
+    def test_results_stored_by_another_campaign_are_hits(self, tmp_path):
+        """A long-lived executor re-reads the cache journal's tail before
+        each map, so what a concurrent campaign stored meanwhile is a hit."""
+        first, second = small_units()[:2]
+        ex = Executor(max_workers=1, cache=tmp_path)
+        ex.map([first])
+        other = ScenarioJournal(ex.cache.path)
+        other.append(cache_key(*second), run_scenario(*second))
+        other.close()
+        ex.map([second])
+        assert ex.stats.cache_hits == 1
+        ex.close()
+        # Nothing was simulated twice, so nothing was appended twice.
+        assert len(ex.cache.path.read_bytes().splitlines()) == 3
 
 
 class TestFallback:
