@@ -52,6 +52,7 @@ with a larger ``--budget-*`` to retry the offenders).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -202,12 +203,6 @@ def _make_governor(args: argparse.Namespace):
     )
 
 
-def _close_executor(executor) -> None:
-    """Stop an executor's coordinator/workers and close its cache (idempotent)."""
-    if executor is not None:
-        executor.close()
-
-
 def _add_resume_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--resume", default=None, metavar="DIR",
@@ -251,25 +246,38 @@ def _make_checkpoint(args: argparse.Namespace, config_blob):
     return None
 
 
-def _make_executor(args: argparse.Namespace, checkpoint=None):
-    """Executor from --jobs/--cache-dir (None keeps the serial path)."""
-    from repro.experiments.parallel import make_executor
+@contextlib.contextmanager
+def _session(args: argparse.Namespace, checkpoint):
+    """The lifecycle every multi-scenario command shares.
 
-    executor = make_executor(
-        args.jobs,
-        cache_dir=args.cache_dir,
+    Builds the executor from the execution flags around ``checkpoint``
+    (``None`` without --checkpoint-dir/--resume), runs the command body
+    inside :func:`~repro.experiments.checkpoint.graceful_shutdown`
+    (drain on signal, ``campaign.state.json`` on exit), then closes
+    executor and checkpoint and logs the execution summary.
+    """
+    from repro.experiments.checkpoint import graceful_shutdown
+    from repro.experiments.parallel import Executor
+
+    executor = Executor(
+        max_workers=args.jobs,
+        cache=args.cache_dir,
         progress=log.info,
-        profile=getattr(args, "profile", False),
+        timeout=getattr(args, "timeout", None),
+        retries=getattr(args, "retries", 0),
+        profile=args.profile,
         checkpoint=checkpoint,
         distributed=_make_distributed(args),
         governor=_make_governor(args),
     )
-    return executor
-
-
-def _print_exec_summary(executor) -> None:
-    if executor is not None:
-        log.info(executor.summary())
+    try:
+        with graceful_shutdown(executor, notify=log.warning):
+            yield executor
+    finally:
+        executor.close()
+        if checkpoint is not None:
+            checkpoint.close()
+    log.info(executor.summary())
 
 
 def _dse_blob(args: argparse.Namespace) -> dict:
@@ -672,14 +680,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         directory = getattr(args, "resume", None) or getattr(
             args, "checkpoint_dir", None
         )
-        if hasattr(args, "resume"):
-            hint = f"repro-noc {args.command} --resume {directory}"
+        if directory is None:
+            log.warning(
+                "interrupted: %d scenario(s) not run; nothing was journaled "
+                "— rerun with --checkpoint-dir DIR to make the run resumable",
+                exc.pending,
+            )
         else:
-            hint = f"rerun with --checkpoint-dir {directory}"
-        log.warning(
-            "interrupted: %d scenario(s) not run; journal flushed — "
-            "resume with '%s'", exc.pending, hint,
-        )
+            if hasattr(args, "resume"):
+                hint = f"repro-noc {args.command} --resume {directory}"
+            else:
+                hint = f"rerun with --checkpoint-dir {directory}"
+            log.warning(
+                "interrupted: %d scenario(s) not run; journal flushed — "
+                "resume with '%s'", exc.pending, hint,
+            )
         return EXIT_INTERRUPTED
     except KeyboardInterrupt:
         log.error("hard cancel: partial state kept, journal still resumable")
@@ -725,7 +740,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command in ("table2", "table3"):
-        from repro.experiments.checkpoint import graceful_shutdown
         from repro.experiments.tables import run_synthetic_table
 
         num_vcs = 4 if args.command == "table2" else 2
@@ -735,24 +749,16 @@ def _dispatch(args: argparse.Namespace) -> int:
              "warmup": args.warmup, "seed": args.seed,
              "regime": args.regime},
         )
-        executor = _make_executor(args, checkpoint=checkpoint)
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                table = run_synthetic_table(
-                    num_vcs=num_vcs, cycles=args.cycles, warmup=args.warmup,
-                    seed=args.seed, executor=executor,
-                    scenario_kwargs={"regime": args.regime},
-                )
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(table.format())
-        _print_exec_summary(executor)
+        with _session(args, checkpoint) as executor:
+            table = run_synthetic_table(
+                num_vcs=num_vcs, cycles=args.cycles, warmup=args.warmup,
+                seed=args.seed, executor=executor,
+                scenario_kwargs={"regime": args.regime},
+            )
+            emit(table.format())
         return 0
 
     if args.command == "table4":
-        from repro.experiments.checkpoint import graceful_shutdown
         from repro.experiments.tables import run_real_table
 
         checkpoint = _make_checkpoint(
@@ -761,23 +767,16 @@ def _dispatch(args: argparse.Namespace) -> int:
              "warmup": args.warmup, "seed": args.seed,
              "regime": args.regime},
         )
-        executor = _make_executor(args, checkpoint=checkpoint)
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                table = run_real_table(
-                    iterations=args.iterations,
-                    cycles=args.cycles,
-                    warmup=args.warmup,
-                    seed=args.seed,
-                    executor=executor,
-                    scenario_kwargs={"regime": args.regime},
-                )
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(table.format())
-        _print_exec_summary(executor)
+        with _session(args, checkpoint) as executor:
+            table = run_real_table(
+                iterations=args.iterations,
+                cycles=args.cycles,
+                warmup=args.warmup,
+                seed=args.seed,
+                executor=executor,
+                scenario_kwargs={"regime": args.regime},
+            )
+            emit(table.format())
         return 0
 
     if args.command == "area":
@@ -817,7 +816,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         import dataclasses
 
         from repro.experiments.campaign import CampaignConfig, run_campaign
-        from repro.experiments.checkpoint import graceful_shutdown
 
         config = CampaignConfig(
             cycles=args.cycles,
@@ -831,27 +829,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.resume is not None:
             # The journal header is the source of truth on resume.
             config = CampaignConfig(**checkpoint.meta["config"])
-        executor = _make_executor(args, checkpoint=checkpoint)
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                result = run_campaign(
-                    config, report_path=args.out, json_dir=args.json_dir,
-                    executor=executor, checkpoint=checkpoint,
-                )
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(result.to_markdown())
-        emit(f"report written to {args.out} ({result.wall_seconds:.0f}s)")
-        _print_exec_summary(executor)
+        with _session(args, checkpoint) as executor:
+            result = run_campaign(
+                config, report_path=args.out, json_dir=args.json_dir,
+                executor=executor,
+            )
+            emit(result.to_markdown())
+            emit(f"report written to {args.out} ({result.wall_seconds:.0f}s)")
         return 0
 
     if args.command == "sweep":
         from repro.experiments.config import ScenarioConfig
         from repro.experiments.sweeps import run_injection_sweep
-
-        from repro.experiments.checkpoint import graceful_shutdown
 
         rates = [float(r) for r in args.rates.split(",") if r]
         policies = [p for p in args.policies.split(",") if p]
@@ -867,21 +856,14 @@ def _dispatch(args: argparse.Namespace) -> int:
              "warmup": args.warmup, "seed": args.seed,
              "regime": args.regime},
         )
-        executor = _make_executor(args, checkpoint=checkpoint)
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                sweep = run_injection_sweep(
-                    rates, policies=policies, base=base, executor=executor
-                )
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(sweep.format())
-        if args.csv:
-            sweep.to_csv(args.csv)
-            emit(f"\nwrote {args.csv}")
-        _print_exec_summary(executor)
+        with _session(args, checkpoint) as executor:
+            sweep = run_injection_sweep(
+                rates, policies=policies, base=base, executor=executor
+            )
+            emit(sweep.format())
+            if args.csv:
+                sweep.to_csv(args.csv)
+                emit(f"\nwrote {args.csv}")
         return 0
 
     if args.command == "power":
@@ -908,8 +890,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "fault-campaign":
         import dataclasses
 
-        from repro.experiments.checkpoint import atomic_write_text, graceful_shutdown
-        from repro.experiments.parallel import make_executor
+        from repro.experiments.checkpoint import atomic_write_text
         from repro.faults.campaign import FaultCampaignConfig, run_fault_campaign
 
         if args.regime != "fresh":
@@ -939,34 +920,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         checkpoint = _make_checkpoint(args, dataclasses.asdict(config))
         if args.resume is not None:
             config = FaultCampaignConfig(**checkpoint.meta["config"])
-        executor = make_executor(
-            args.jobs,
-            cache_dir=args.cache_dir,
-            timeout=args.timeout,
-            retries=args.retries,
-            progress=log.info,
-            profile=args.profile,
-            checkpoint=checkpoint,
-            distributed=_make_distributed(args),
-            governor=_make_governor(args),
-        )
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                report = run_fault_campaign(
-                    config, executor=executor, checkpoint=checkpoint
-                )
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(report.to_markdown())
-        if args.out:
-            atomic_write_text(args.out, report.to_markdown())
-            log.info("report written to %s", args.out)
-        if args.json:
-            atomic_write_text(args.json, report.to_json())
-            log.info("JSON written to %s", args.json)
-        _print_exec_summary(executor)
+        with _session(args, checkpoint) as executor:
+            report = run_fault_campaign(config, executor=executor)
+            emit(report.to_markdown())
+            if args.out:
+                atomic_write_text(args.out, report.to_markdown())
+                log.info("report written to %s", args.out)
+            if args.json:
+                atomic_write_text(args.json, report.to_json())
+                log.info("JSON written to %s", args.json)
         failed = sum(1 for row in report.rows if row.failure is not None)
         return 1 if failed == len(report.rows) else 0
 
@@ -1115,37 +1077,25 @@ def _dispatch_dse(args: argparse.Namespace) -> int:
 
     if args.dse_command == "screen":
         from repro.dse import run_screening
-        from repro.experiments.checkpoint import graceful_shutdown
 
         checkpoint = _make_checkpoint(args, _dse_blob(args))
-        executor = _make_executor(args, checkpoint=checkpoint)
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                report = run_screening(space, objectives, executor=executor)
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(report.format())
-        prunable = report.prune(args.threshold)
-        if prunable:
-            emit(
-                f"prunable below {args.threshold:.2f}: {', '.join(prunable)}"
-            )
-        if args.json:
-            from repro.experiments.checkpoint import atomic_write_json
+        with _session(args, checkpoint) as executor:
+            report = run_screening(space, objectives, executor=executor)
+            emit(report.format())
+            prunable = report.prune(args.threshold)
+            if prunable:
+                emit(
+                    f"prunable below {args.threshold:.2f}: {', '.join(prunable)}"
+                )
+            if args.json:
+                from repro.experiments.checkpoint import atomic_write_json
 
-            atomic_write_json(args.json, report.to_dict())
-            log.info("effects JSON written to %s", args.json)
-        _print_exec_summary(executor)
+                atomic_write_json(args.json, report.to_dict())
+                log.info("effects JSON written to %s", args.json)
         return 0
 
     if args.dse_command == "search":
         from repro.dse import DSEEngine, DSEResult, GAConfig
-        from repro.experiments.checkpoint import (
-            CampaignInterrupted,
-            graceful_shutdown,
-        )
 
         blob = _dse_blob(args)
         blob["ga"] = {
@@ -1168,40 +1118,21 @@ def _dispatch_dse(args: argparse.Namespace) -> int:
         except ValueError as exc:
             log.error("%s", exc)
             return 2
-        executor = _make_executor(args, checkpoint=checkpoint)
-        engine = DSEEngine(
-            space, objectives, config,
-            executor=executor, checkpoint=checkpoint,
-        )
-        failures = executor.failure_records if executor is not None else ()
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                engine.run(resume=checkpoint is not None)
-            if checkpoint is not None:
-                checkpoint.write_state("complete", failures=failures)
-        except CampaignInterrupted as exc:
-            if checkpoint is not None:
-                checkpoint.write_state(
-                    "interrupted", pending=exc.pending, failures=failures
-                )
-            raise
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        result = DSEResult.from_archive(
-            space, objectives, engine.archive,
-            counters=engine.counters,
-            savings=engine.evaluations_saved(),
-            surrogate_scores=engine.surrogate_scores,
-        )
-        emit(result.format())
-        result.write_json(args.out)
-        emit(f"report written to {args.out}")
-        if args.csv:
-            result.write_csv(args.csv)
-            emit(f"wrote {args.csv}")
-        _print_exec_summary(executor)
+        with _session(args, checkpoint) as executor:
+            engine = DSEEngine(space, objectives, config, executor=executor)
+            engine.run(resume=checkpoint is not None)
+            result = DSEResult.from_archive(
+                space, objectives, engine.archive,
+                counters=engine.counters,
+                savings=engine.evaluations_saved(),
+                surrogate_scores=engine.surrogate_scores,
+            )
+            emit(result.format())
+            result.write_json(args.out)
+            emit(f"report written to {args.out}")
+            if args.csv:
+                result.write_csv(args.csv)
+                emit(f"wrote {args.csv}")
         return 0
 
     raise AssertionError(f"unhandled dse command {args.dse_command!r}")

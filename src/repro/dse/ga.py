@@ -44,12 +44,10 @@ from repro.dse.surrogate import SurrogateBank
 from repro.experiments.checkpoint import (
     CACHE_SCHEMA_VERSION,
     CheckpointError,
-    CheckpointManager,
     atomic_write_json,
     config_digest,
 )
-from repro.experiments.parallel import Executor, ScenarioFailure
-from repro.experiments.runner import run_scenario
+from repro.experiments.parallel import Executor, ScenarioFailure, ensure_executor
 from repro.nbti.process_variation import scenario_seed
 from repro.telemetry.log import get_logger
 from repro.telemetry.metrics import MetricsRegistry
@@ -111,11 +109,9 @@ class DSEEngine:
     config:
         The :class:`GAConfig`; its seed roots every RNG stream.
     executor:
-        Optional :class:`~repro.experiments.parallel.Executor`.  When
-        absent, evaluations run serially in-process (unit tests).
-    checkpoint:
-        Optional :class:`~repro.experiments.checkpoint.CheckpointManager`.
-        Enables the WAL resume path and hosts ``ga.state.json`` in the
+        The :class:`~repro.experiments.parallel.Executor` evaluating
+        genomes (a serial one when ``None``).  Its checkpoint, when set,
+        enables the WAL resume path and hosts ``ga.state.json`` in the
         same directory as the scenario journal.
     metrics:
         Optional registry receiving per-generation counters/gauges.
@@ -127,7 +123,6 @@ class DSEEngine:
         objectives: Sequence[Objective],
         config: GAConfig,
         executor: Optional[Executor] = None,
-        checkpoint: Optional[CheckpointManager] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not objectives:
@@ -135,8 +130,7 @@ class DSEEngine:
         self.space = space
         self.objectives = tuple(objectives)
         self.config = config
-        self.executor = executor
-        self.checkpoint = checkpoint
+        self.executor = ensure_executor(executor)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: genome -> oriented objective vector, for every evaluated point.
         self.archive: Dict[Genome, Tuple[float, ...]] = {}
@@ -176,9 +170,10 @@ class DSEEngine:
 
     @property
     def state_path(self) -> Optional[Path]:
-        if self.checkpoint is None:
+        checkpoint = self.executor.checkpoint
+        if checkpoint is None:
             return None
-        return self.checkpoint.directory / GA_STATE_FILENAME
+        return checkpoint.directory / GA_STATE_FILENAME
 
     # -- RNG streams ----------------------------------------------------
     def _rng(self, generation: int, purpose: str) -> random.Random:
@@ -249,9 +244,9 @@ class DSEEngine:
     def _evaluate(self, genomes: Sequence[Genome]) -> None:
         """Fill the archive for every genome not already in it.
 
-        Runs through the executor when one is attached (cache, journal,
-        pool, retries); failures are logged, counted, and leave the
-        genome unevaluated (it simply never enters the archive).
+        Runs through the executor (cache, journal, pool, retries);
+        failures are logged, counted, and leave the genome unevaluated
+        (it simply never enters the archive).
         """
         fresh: List[Genome] = []
         seen = set()
@@ -267,10 +262,7 @@ class DSEEngine:
             return
         units = [(self.space.decode(genome), 0) for genome in fresh]
         self.counters["simulated"] += len(units)
-        if self.executor is not None:
-            outcomes = self.executor.map_robust(units)
-        else:
-            outcomes = [run_scenario(scenario, it) for scenario, it in units]
+        outcomes = self.executor.map_robust(units)
         for genome, (scenario, _), outcome in zip(fresh, units, outcomes):
             if isinstance(outcome, ScenarioFailure):
                 self.counters["failed"] += 1

@@ -21,8 +21,7 @@ import numpy as np
 
 from repro.dse.objectives import Objective, evaluate_objectives
 from repro.dse.space import DesignSpace, Genome
-from repro.experiments.parallel import Executor, ScenarioFailure
-from repro.experiments.runner import run_scenario
+from repro.experiments.parallel import Executor, ScenarioFailure, ensure_executor
 from repro.telemetry.log import get_logger
 
 log = get_logger("dse")
@@ -171,10 +170,10 @@ def run_screening(
 ) -> ScreeningReport:
     """Run the screening design and estimate effects.
 
-    Evaluations go through ``executor.map_robust`` when an executor is
-    given (parallelism, cache/journal dedup, crash robustness for
-    free); invalid design rows are excluded up front, failed rows are
-    dropped from the contrasts.
+    Evaluations go through ``executor.map_robust`` (a serial executor
+    when ``None``: parallelism, cache/journal dedup, crash robustness
+    for free); invalid design rows are excluded up front, failed rows
+    are dropped from the contrasts.
     """
     names = tuple(p.name for p in space.parameters)
     design = two_level_design(len(names))
@@ -192,10 +191,7 @@ def run_screening(
         )
 
     units = [(space.decode(genome), iteration) for _, genome in rows]
-    if executor is not None:
-        outcomes = executor.map_robust(units)
-    else:
-        outcomes = [run_scenario(scenario, it) for scenario, it in units]
+    outcomes = ensure_executor(executor).map_robust(units)
 
     kept_signs: List[np.ndarray] = []
     vectors: List[Tuple[float, ...]] = []

@@ -15,15 +15,10 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.area import compute_overhead_report
-from repro.experiments.checkpoint import (
-    CampaignInterrupted,
-    CheckpointManager,
-    atomic_write_text,
-)
+from repro.experiments.checkpoint import atomic_write_text
 from repro.experiments.config import ScenarioConfig, format_experimental_setup
-from repro.experiments.governor import BudgetExceeded
 from repro.nbti.regime import get_regime
-from repro.experiments.parallel import Executor
+from repro.experiments.parallel import Executor, ensure_executor
 from repro.experiments.tables import (
     run_cooperation_gain,
     run_real_table,
@@ -136,7 +131,6 @@ def run_campaign(
     report_path: Optional[Union[str, Path]] = None,
     json_dir: Optional[Union[str, Path]] = None,
     executor: Optional[Executor] = None,
-    checkpoint: Optional[CheckpointManager] = None,
 ) -> CampaignResult:
     """Run the full reproduction and optionally persist its artifacts.
 
@@ -152,56 +146,16 @@ def run_campaign(
         When given, the three tables are additionally saved as JSON via
         :mod:`repro.experiments.persistence`.
     executor:
-        Optional :class:`~repro.experiments.parallel.Executor` fanning
-        the campaign's independent scenarios across worker processes
-        (and/or serving them from its on-disk cache).  Table contents
-        are identical to the serial run.
-    checkpoint:
-        Optional :class:`~repro.experiments.checkpoint.CheckpointManager`
-        journaling every completed scenario (crash-safe resume).  When
-        ``executor`` is ``None`` a serial executor is built around it so
-        journaling works even without ``--jobs``.  On a drain
-        (SIGINT/SIGTERM) the campaign writes ``campaign.state.json``
-        with status ``interrupted`` and re-raises
-        :class:`~repro.experiments.checkpoint.CampaignInterrupted`; on
-        success the status is ``complete``.
+        The :class:`~repro.experiments.parallel.Executor` running the
+        campaign's independent scenarios (a serial one when ``None``):
+        its worker count, cache and checkpoint journal apply to every
+        table.  Table contents are identical however it runs them.  Run
+        inside :func:`~repro.experiments.checkpoint.graceful_shutdown`
+        so a signal drains the campaign and ``campaign.state.json``
+        records how it ended.
     """
     config = config if config is not None else CampaignConfig()
-    if checkpoint is not None:
-        if executor is None:
-            executor = Executor(max_workers=1, checkpoint=checkpoint)
-        elif executor.checkpoint is None:
-            executor.checkpoint = checkpoint
-    failures = executor.failure_records if executor is not None else ()
-    try:
-        result = _run_campaign_body(config, report_path, json_dir, executor)
-    except CampaignInterrupted as exc:
-        if checkpoint is not None:
-            checkpoint.write_state(
-                "interrupted", pending=exc.pending, failures=failures
-            )
-        raise
-    except BudgetExceeded as exc:
-        # Every other scenario completed and is journaled; the state
-        # file names the offenders (typed kind + predicted vs actual
-        # cost) so users can re-run with a larger --budget-*.
-        if checkpoint is not None:
-            checkpoint.write_state(
-                "budget-exceeded", pending=len(exc.failures), failures=failures
-            )
-        raise
-    if checkpoint is not None:
-        # Artifacts are on disk: the journal's work is done.
-        checkpoint.write_state("complete", failures=failures)
-    return result
-
-
-def _run_campaign_body(
-    config: CampaignConfig,
-    report_path: Optional[Union[str, Path]],
-    json_dir: Optional[Union[str, Path]],
-    executor: Optional[Executor],
-) -> CampaignResult:
+    executor = ensure_executor(executor)
     started = time.perf_counter()
     # The stress regime rides into every scenario the campaign builds;
     # the default ("fresh") keeps all artifacts byte-identical.
@@ -247,7 +201,7 @@ def _run_campaign_body(
         cooperation=cooperation,
         area_text=area_text,
         wall_seconds=time.perf_counter() - started,
-        execution_summary=executor.summary() if executor is not None else None,
+        execution_summary=executor.summary(),
     )
     if json_dir is not None:
         from repro.experiments.persistence import (

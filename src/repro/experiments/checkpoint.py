@@ -35,8 +35,9 @@ serial vs parallel execution (``tests/test_kill_resume.py``).
 Graceful shutdown: :func:`graceful_shutdown` installs SIGINT/SIGTERM
 handlers that *drain* — stop dispatching new units, let in-flight
 workers finish (still bounded by the per-unit timeout), flush the
-journal, write the state summary — and exit with
-:data:`EXIT_INTERRUPTED`.  A second signal hard-cancels.
+journal — and exit with :data:`EXIT_INTERRUPTED`.  A second signal
+hard-cancels.  It is also the one writer of ``campaign.state.json``:
+whatever the command, leaving the session records how it ended.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 from repro.version import __version__
 from repro.telemetry.log import get_logger
 from repro.experiments.config import ScenarioConfig
+from repro.experiments.governor import BudgetExceeded
 from repro.experiments.runner import ScenarioResult
 
 log = get_logger("checkpoint")
@@ -642,9 +644,10 @@ class CheckpointManager:
     The manager is what gets threaded through the harness:
     :class:`~repro.experiments.parallel.Executor` calls :meth:`lookup`
     before dispatching a unit and :meth:`record` the moment one
-    completes; campaign drivers call :meth:`write_state` on completion
-    and on drain.  ``meta`` describes the campaign (command + config);
-    its digest gates resume compatibility (see :class:`ScenarioJournal`).
+    completes; :func:`graceful_shutdown` calls :meth:`write_state` when
+    the campaign ends, however it ends.  ``meta`` describes the campaign
+    (command + config); its digest gates resume compatibility (see
+    :class:`ScenarioJournal`).
     """
 
     STATE_FILENAME = "campaign.state.json"
@@ -775,21 +778,23 @@ def _failure_to_dict(failure: object) -> Dict[str, Any]:
 def graceful_shutdown(
     executor, notify: Optional[Callable[[str], None]] = None
 ) -> Iterator[None]:
-    """Install drain-on-signal handlers around a campaign body.
+    """The campaign session: drain on signal, state file on exit.
 
     First SIGINT/SIGTERM: ``executor.request_drain()`` — no new units
     are dispatched, in-flight workers finish (bounded by the per-unit
     timeout), the journal is flushed, and the campaign raises
     :class:`CampaignInterrupted` for the caller to exit with
     :data:`EXIT_INTERRUPTED`.  A second signal raises
-    ``KeyboardInterrupt`` immediately (hard cancel).
+    ``KeyboardInterrupt`` immediately (hard cancel).  Handlers are only
+    installed in the main thread.
 
-    No-op when ``executor`` is ``None`` or when not running in the
-    main thread (signal handlers cannot be installed there).
+    When ``executor.checkpoint`` is set, leaving the session writes its
+    ``campaign.state.json`` with ``executor.failure_records``: status
+    ``complete`` on success, ``interrupted`` on
+    :class:`CampaignInterrupted` and ``budget-exceeded`` on
+    :class:`~repro.experiments.governor.BudgetExceeded` (both
+    re-raised).  Any other exception leaves the file as it was.
     """
-    if executor is None:
-        yield
-        return
     seen = {"count": 0}
 
     def _handler(signum, frame):  # noqa: ARG001 - signal handler signature
@@ -805,6 +810,12 @@ def graceful_shutdown(
         else:
             raise KeyboardInterrupt(f"hard cancel ({name} x{seen['count']})")
 
+    def _write_state(status: str, pending: int = 0) -> None:
+        if executor.checkpoint is not None:
+            executor.checkpoint.write_state(
+                status, pending=pending, failures=executor.failure_records
+            )
+
     previous = {}
     for sig in (signal.SIGINT, signal.SIGTERM):
         try:
@@ -813,6 +824,17 @@ def graceful_shutdown(
             pass
     try:
         yield
+    except CampaignInterrupted as exc:
+        _write_state("interrupted", exc.pending)
+        raise
+    except BudgetExceeded as exc:
+        # Every other scenario completed and is journaled; the state
+        # file names the offenders (typed kind + predicted vs actual
+        # cost) so users can re-run with a larger --budget-*.
+        _write_state("budget-exceeded", len(exc.failures))
+        raise
+    else:
+        _write_state("complete")
     finally:
         for sig, old in previous.items():
             signal.signal(sig, old)

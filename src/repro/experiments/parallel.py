@@ -618,7 +618,9 @@ class Executor:
 
         def retire(conn, proc, kill: bool = False) -> None:
             if kill:
-                proc.terminate()
+                # SIGKILL, not SIGTERM: a forked worker inherits the
+                # session's SIGTERM handler, which only requests a drain.
+                proc.kill()
             else:
                 with contextlib.suppress(OSError):  # already dead
                     conn.send(None)
@@ -948,45 +950,18 @@ class Executor:
             self.progress(line)
 
 
-def make_executor(
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    profile: bool = False,
-    checkpoint: Optional[CheckpointManager] = None,
-    distributed=None,
-    governor: Optional[Union[ScenarioGovernor, GovernorSpec]] = None,
-) -> Optional[Executor]:
-    """CLI helper: build an :class:`Executor` only when one is wanted.
+def ensure_executor(executor: Optional[Executor] = None) -> Executor:
+    """``executor``, or a serial in-process one when the caller passed none.
 
-    ``jobs=1`` with no cache and no robustness/profiling/checkpoint/
-    distributed/governor knobs keeps the historical in-function serial
-    path (returns ``None``); ``jobs=0`` auto-detects worker count.
+    The one place library entry points get their default: every
+    campaign runs through an :class:`Executor`, so serial runs
+    share the journal, failure records and drain of parallel ones.
     """
-    if (
-        (jobs == 1 or jobs is None)
-        and cache_dir is None
-        and timeout is None
-        and retries == 0
-        and not profile
-        and checkpoint is None
-        and distributed is None
-        and governor is None
-    ):
-        return None
-    return Executor(
-        max_workers=jobs, cache=cache_dir, progress=progress,
-        timeout=timeout, retries=retries, profile=profile,
-        checkpoint=checkpoint, distributed=distributed, governor=governor,
-    )
+    return executor or Executor(max_workers=1)
 
 
 def execute_units(
     units: Sequence[WorkUnit], executor: Optional[Executor] = None
 ) -> List[ScenarioResult]:
-    """Run units through ``executor``, or serially in-process when ``None``."""
-    if executor is None:
-        return [run_scenario(scenario, iteration) for scenario, iteration in units]
-    return executor.map(units)
+    """Run units through ``executor`` (a serial one when ``None``)."""
+    return ensure_executor(executor).map(units)

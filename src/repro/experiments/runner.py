@@ -279,15 +279,15 @@ def run_policies(
 
     Traffic and PV are identical across policies by construction; only
     the recovery decisions differ (the paper's comparison protocol).
-    An :class:`~repro.experiments.parallel.Executor` fans the policies
-    out across workers (results are identical to the serial path).
+    ``executor`` (an :class:`~repro.experiments.parallel.Executor`, a
+    serial one when ``None``) may fan the policies out across workers;
+    results are identical either way.
     """
-    if executor is not None:
-        results = executor.map(
-            [(scenario.with_policy(policy), iteration) for policy in policies]
-        )
-        return dict(zip(policies, results))
-    return {
-        policy: run_scenario(scenario.with_policy(policy), iteration)
-        for policy in policies
-    }
+    # Imported here: the parallel module imports this one.
+    from repro.experiments.parallel import execute_units
+
+    results = execute_units(
+        [(scenario.with_policy(policy), iteration) for policy in policies],
+        executor,
+    )
+    return dict(zip(policies, results))

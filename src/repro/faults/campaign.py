@@ -29,9 +29,13 @@ import dataclasses
 import json
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.experiments.checkpoint import CampaignInterrupted, CheckpointManager
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.parallel import Executor, ScenarioFailure, WorkUnit
+from repro.experiments.parallel import (
+    Executor,
+    ScenarioFailure,
+    WorkUnit,
+    ensure_executor,
+)
 from repro.experiments.runner import ScenarioResult
 from repro.faults.spec import FaultSpec
 
@@ -234,40 +238,24 @@ def campaign_cells(config: FaultCampaignConfig) -> List[Tuple[str, str, float]]:
 def run_fault_campaign(
     config: FaultCampaignConfig,
     executor: Optional[Executor] = None,
-    checkpoint: Optional[CheckpointManager] = None,
 ) -> ResilienceReport:
     """Run the whole sweep and assemble the resilience report.
 
     Always goes through :meth:`Executor.map_robust`, so a hanging or
     crashing cell becomes a FAILED row instead of killing the campaign.
 
-    With a ``checkpoint``, every completed cell is journaled as it
-    finishes; an interrupted campaign (drain or crash) resumes from the
-    journal and its report is byte-identical to an uninterrupted run.
-    ``campaign.state.json`` records status ``interrupted``/``complete``
-    plus any per-cell failures with full tracebacks.
+    ``executor`` defaults to a serial one.  With a checkpoint on it,
+    every completed cell is journaled as it finishes, and an interrupted
+    campaign (drain or crash) resumes from the journal with a report
+    byte-identical to an uninterrupted run.
     """
-    if checkpoint is not None:
-        if executor is None:
-            executor = Executor(max_workers=1, checkpoint=checkpoint)
-        elif executor.checkpoint is None:
-            executor.checkpoint = checkpoint
-    if executor is None:
-        executor = Executor(max_workers=1)
+    executor = ensure_executor(executor)
     cells = campaign_cells(config)
     units: List[WorkUnit] = [
         (_cell_scenario(config, policy, kind, rate), 0)
         for policy, kind, rate in cells
     ]
-    try:
-        outcomes = executor.map_robust(units)
-    except CampaignInterrupted as exc:
-        if checkpoint is not None:
-            checkpoint.write_state(
-                "interrupted", pending=exc.pending,
-                failures=executor.failure_records,
-            )
-        raise
+    outcomes = executor.map_robust(units)
 
     rows: List[ResilienceRow] = []
     for (policy, kind, rate), outcome in zip(cells, outcomes):
@@ -293,8 +281,6 @@ def run_fault_campaign(
             row.violations = result.violations
             row.fault_counters = result.fault_counters
         rows.append(row)
-    if checkpoint is not None:
-        checkpoint.write_state("complete", failures=executor.failure_records)
     return ResilienceReport(
         config=config, rows=rows, executor_summary=executor.summary()
     )

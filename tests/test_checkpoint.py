@@ -40,7 +40,6 @@ from repro.experiments.parallel import (
     Executor,
     ScenarioFailure,
     cache_key,
-    make_executor,
 )
 from repro.experiments.runner import run_scenario
 
@@ -471,14 +470,6 @@ class TestExecutorCheckpoint:
         assert [fingerprint(r) for r in resumed] == [
             fingerprint(r) for r in baseline
         ]
-
-    def test_make_executor_checkpoint_forces_executor(self, tmp_path):
-        assert make_executor(1) is None
-        manager = CheckpointManager(tmp_path, meta={})
-        executor = make_executor(1, checkpoint=manager)
-        assert isinstance(executor, Executor)
-        assert executor.checkpoint is manager
-        manager.close()
 
 
 # ----------------------------------------------------------------------

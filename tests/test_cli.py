@@ -171,3 +171,96 @@ class TestHealthCommand:
             assert '"verdict": "shed"' in capsys.readouterr().out
         finally:
             server.close()
+
+
+class TestInterruptHint:
+    """A drained run without a checkpoint directory journaled nothing:
+    the exit message must say so instead of suggesting ``None``."""
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [
+            ("table3", "repro.experiments.tables.run_synthetic_table"),
+            ("campaign", "repro.experiments.campaign.run_campaign"),
+        ],
+    )
+    def test_no_checkpoint_dir_means_nothing_journaled(
+        self, capsys, monkeypatch, command, target
+    ):
+        from repro.experiments.checkpoint import EXIT_INTERRUPTED, CampaignInterrupted
+
+        def drained(*args, **kwargs):
+            raise CampaignInterrupted(3)
+
+        monkeypatch.setattr(target, drained)
+        assert main([command, "--cycles", "100", "--warmup", "20"]) == EXIT_INTERRUPTED
+        err = capsys.readouterr().err
+        assert "None" not in err
+        assert "journal flushed" not in err
+        assert "nothing was journaled" in err
+        assert "--checkpoint-dir DIR" in err
+
+    def test_checkpoint_dir_names_the_resume_command(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.experiments.checkpoint import EXIT_INTERRUPTED, CampaignInterrupted
+
+        def drained(*args, **kwargs):
+            raise CampaignInterrupted(3)
+
+        monkeypatch.setattr("repro.experiments.campaign.run_campaign", drained)
+        ckpt = tmp_path / "ckpt"
+        argv = ["campaign", "--cycles", "100", "--checkpoint-dir", str(ckpt)]
+        assert main(argv) == EXIT_INTERRUPTED
+        err = capsys.readouterr().err
+        assert f"repro-noc campaign --resume {ckpt}" in err
+
+
+def _journal_records(directory) -> int:
+    lines = (directory / "scenario.journal.jsonl").read_text().splitlines()
+    return len(lines) - 1  # minus the header
+
+
+class TestCampaignStateFile:
+    """Every campaign command leaves ``campaign.state.json`` behind."""
+
+    TINY = ["--cycles", "100", "--warmup", "20"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table3"],
+            ["sweep", "--rates", "0.1,0.2"],
+            ["dse", "screen"],
+            ["campaign", "--skip-real", "--iterations", "1"],
+        ],
+        ids=["table3", "sweep", "dse-screen", "campaign"],
+    )
+    def test_complete_state_matches_journal(self, capsys, tmp_path, argv):
+        import json
+
+        ckpt = tmp_path / "ckpt"
+        extra = ["--out", str(tmp_path / "report.md")] if argv[0] == "campaign" else []
+        assert main(argv + self.TINY + extra + ["--checkpoint-dir", str(ckpt)]) == 0
+        capsys.readouterr()
+        state = json.loads((ckpt / "campaign.state.json").read_text())
+        assert state["status"] == "complete"
+        assert state["pending"] == 0
+        assert state["failed"] == []
+        assert state["done"] == _journal_records(ckpt) > 0
+
+    def test_budget_exceeded_table_run(self, capsys, tmp_path):
+        import json
+
+        ckpt = tmp_path / "ckpt"
+        # A 1 ms wall budget: every attempt's deadline fires before the
+        # scenario can finish, so the governed table raises BudgetExceeded.
+        argv = ["table3", *self.TINY, "--budget-wall", "0.001",
+                "--checkpoint-dir", str(ckpt)]
+        assert main(argv) == 3
+        capsys.readouterr()
+        state = json.loads((ckpt / "campaign.state.json").read_text())
+        assert state["status"] == "budget-exceeded"
+        assert state["done"] == _journal_records(ckpt)
+        assert state["pending"] == len(state["failed"]) > 0
+        assert {entry["kind"] for entry in state["failed"]} == {"timeout"}

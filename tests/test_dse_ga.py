@@ -169,7 +169,7 @@ class TestCheckpointing:
         config = GAConfig(population=4, generations=2, seed=3)
         checkpoint = self.make_checkpoint(tmp_path)
         executor = Executor(max_workers=1, checkpoint=checkpoint)
-        engine = run_engine(config, executor=executor, checkpoint=checkpoint)
+        engine = run_engine(config, executor=executor)
         checkpoint.close()
         state_path = tmp_path / "ckpt" / "ga.state.json"
         ok, summary = verify_ga_state(state_path)
@@ -185,15 +185,14 @@ class TestCheckpointing:
         checkpoint = self.make_checkpoint(tmp_path)
         executor = Executor(max_workers=1, checkpoint=checkpoint)
         golden = report_of(
-            run_engine(config, executor=executor, checkpoint=checkpoint)
+            run_engine(config, executor=executor)
         ).to_json()
         checkpoint.close()
 
         checkpoint = self.make_checkpoint(tmp_path)
         executor = Executor(max_workers=1, checkpoint=checkpoint)
         engine = DSEEngine(
-            micro_space(), micro_objectives(), config,
-            executor=executor, checkpoint=checkpoint,
+            micro_space(), micro_objectives(), config, executor=executor
         )
         engine.run(resume=True)
         checkpoint.close()
@@ -205,14 +204,14 @@ class TestCheckpointing:
 
         config = GAConfig(population=4, generations=1, seed=3)
         checkpoint = self.make_checkpoint(tmp_path)
-        run_engine(config, checkpoint=checkpoint)
+        run_engine(config, executor=Executor(max_workers=1, checkpoint=checkpoint))
         checkpoint.close()
 
         other_config = GAConfig(population=6, generations=2, seed=3)
         checkpoint = self.make_checkpoint(tmp_path)
         engine = DSEEngine(
             micro_space(), micro_objectives(), other_config,
-            checkpoint=checkpoint,
+            executor=Executor(max_workers=1, checkpoint=checkpoint),
         )
         with pytest.raises(CheckpointError):
             engine.run(resume=True)

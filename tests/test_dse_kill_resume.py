@@ -145,12 +145,12 @@ class TestInProcessDrainResume:
             population=4, generations=3, seed=3, surrogate_min_samples=6,
         )
 
-    def run_to_completion(self, checkpoint=None, executor=None):
+    def run_to_completion(self, executor=None):
         engine = DSEEngine(
             self.space(), resolve_objectives(["md_duty", "p95_latency"]),
-            self.config(), executor=executor, checkpoint=checkpoint,
+            self.config(), executor=executor,
         )
-        engine.run(resume=checkpoint is not None)
+        engine.run(resume=engine.executor.checkpoint is not None)
         return DSEResult.from_archive(
             engine.space, engine.objectives, engine.archive,
             counters=engine.counters, savings=engine.evaluations_saved(),
@@ -176,7 +176,7 @@ class TestInProcessDrainResume:
         executor.progress = drain_mid_generation
         engine = DSEEngine(
             self.space(), resolve_objectives(["md_duty", "p95_latency"]),
-            self.config(), executor=executor, checkpoint=checkpoint,
+            self.config(), executor=executor,
         )
         with pytest.raises(CampaignInterrupted):
             engine.run()
@@ -194,7 +194,7 @@ class TestInProcessDrainResume:
 
         checkpoint = CheckpointManager(ckpt_dir, meta={"m": 1})
         executor = Executor(max_workers=1, checkpoint=checkpoint)
-        resumed = self.run_to_completion(checkpoint=checkpoint, executor=executor)
+        resumed = self.run_to_completion(executor=executor)
         checkpoint.close()
         assert resumed.to_json() == golden
         # Journaled units of the interrupted generation were replayed,

@@ -116,6 +116,31 @@ class TestRunScreening:
         assert a.to_dict() == b.to_dict()
 
 
+class TestFailedCorners:
+    def test_serial_failure_is_a_dropped_counted_corner(self, monkeypatch):
+        """Without an executor a raising scenario is dropped and counted,
+        exactly as under a worker pool, instead of propagating."""
+        from repro.experiments import parallel
+        from repro.experiments.parallel import Executor
+
+        real = parallel.run_scenario
+
+        def low_corner_fails(scenario, iteration=0):
+            if scenario.policy == "rr-no-sensor" and scenario.rotation_period == 16:
+                raise RuntimeError("injected corner failure")
+            return real(scenario, iteration)
+
+        monkeypatch.setattr(parallel, "run_scenario", low_corner_fails)
+        objectives = resolve_objectives(["md_duty"])
+        serial = run_screening(micro_space(), objectives)
+        pooled = run_screening(
+            micro_space(), objectives, executor=Executor(max_workers=2)
+        )
+        assert serial.failed == pooled.failed == 1
+        assert serial.evaluations == pooled.evaluations == serial.runs - 1
+        assert serial.to_dict() == pooled.to_dict()
+
+
 class TestReportPruning:
     def make_report(self):
         return ScreeningReport(

@@ -17,7 +17,6 @@ from repro.experiments.parallel import (
     RetryBackoff,
     ScenarioFailure,
     cache_key,
-    make_executor,
 )
 
 #: Environment variable carrying the scratch path of the flaky workers
@@ -303,16 +302,6 @@ class TestCorruptCache:
 
 
 class TestMakeExecutor:
-    def test_plain_serial_returns_none(self):
-        assert make_executor(1) is None
-        assert make_executor(None) is None
-
-    def test_robustness_knobs_force_an_executor(self, tmp_path):
-        assert isinstance(make_executor(1, timeout=5.0), Executor)
-        assert isinstance(make_executor(1, retries=2), Executor)
-        assert isinstance(make_executor(1, cache_dir=tmp_path), Executor)
-        assert isinstance(make_executor(4), Executor)
-
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             Executor(timeout=0)

@@ -30,6 +30,7 @@ from repro.experiments.checkpoint import (
     EXIT_INTERRUPTED,
     CampaignInterrupted,
     CheckpointManager,
+    graceful_shutdown,
 )
 from repro.experiments.parallel import Executor
 
@@ -198,10 +199,8 @@ class TestInProcessCampaignResume:
 
         executor.progress = drain_after_five
         with pytest.raises(CampaignInterrupted):
-            run_campaign(
-                config, json_dir=interrupted_dir,
-                executor=executor, checkpoint=checkpoint,
-            )
+            with graceful_shutdown(executor):
+                run_campaign(config, json_dir=interrupted_dir, executor=executor)
         checkpoint.close()
         state = json.loads((ckpt_dir / "campaign.state.json").read_text())
         assert state["status"] == "interrupted"
@@ -210,9 +209,9 @@ class TestInProcessCampaignResume:
 
         resumed_dir = tmp_path / "resumed"
         checkpoint = CheckpointManager(ckpt_dir, meta={"m": 1})
-        result = run_campaign(
-            config, json_dir=resumed_dir, checkpoint=checkpoint
-        )
+        executor = Executor(max_workers=1, checkpoint=checkpoint)
+        with graceful_shutdown(executor):
+            result = run_campaign(config, json_dir=resumed_dir, executor=executor)
         checkpoint.close()
         assert result.table3 is not None
 

@@ -26,7 +26,6 @@ from repro.experiments.parallel import (
     ScenarioFailure,
     cache_key,
     execute_units,
-    make_executor,
 )
 from repro.experiments.runner import run_scenario
 from repro.experiments.sweeps import run_injection_sweep
@@ -338,17 +337,6 @@ class TestProgressAndStats:
         assert ex.stats.units_completed == 2
         assert ex.stats.serial_seconds > 0.0
         assert ex.stats.wall_seconds > 0.0
-
-
-class TestMakeExecutor:
-    def test_default_is_none(self):
-        assert make_executor(1) is None
-        assert make_executor(None) is None
-
-    def test_jobs_or_cache_build_executor(self, tmp_path):
-        assert make_executor(4).max_workers == 4
-        ex = make_executor(1, cache_dir=tmp_path / "c")
-        assert ex is not None and ex.cache is not None
 
 
 class TestCampaignParallel:
